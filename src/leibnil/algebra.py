@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Iterable, Iterator
 
 from .fields import Field, Scalar
 from .linalg import (
     Subspace,
     Vector,
     basis_vector,
-    contains,
     full_subspace,
     is_subspace_of,
     span,
@@ -26,6 +26,14 @@ from .linalg import (
     zero_subspace,
     zero_vector,
 )
+
+
+class ChainVerificationError(RuntimeError):
+    """A mathematical invariant that follows from the theory failed on an instance.
+
+    Raised in every interpreter mode, unlike `assert`; the CLI maps it to
+    exit status 1.
+    """
 
 
 @dataclass(frozen=True)
@@ -121,6 +129,26 @@ class VerificationReport:
         return not self.failures and not self.derived_failures
 
 
+def _identity_failures(alg: AlgebraDef, side: str) -> Iterator[IdentityFailure]:
+    """Yield a failure per basis triple (i, j, k) breaking the identity, in order.
+
+    side "right": [x,[y,z]] = [[x,y],z] - [[x,z],y];
+    side "left":  [x,[y,z]] = [[x,y],z] + [y,[x,z]].
+    Brackets of two basis vectors are table entries, so only the outer
+    bracket of each term is expanded.
+    """
+    t = alg.table
+    e = [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
+    for i, j, k in product(range(alg.dim), repeat=3):
+        lhs = bracket(e[i], t[j][k], alg)
+        if side == "right":
+            rhs = bracket(t[i][j], e[k], alg) - bracket(t[i][k], e[j], alg)
+        else:
+            rhs = bracket(t[i][j], e[k], alg) + bracket(e[j], t[i][k], alg)
+        if lhs != rhs:
+            yield IdentityFailure((i + 1, j + 1, k + 1), lhs, rhs)
+
+
 def verify_right_leibniz(alg: AlgebraDef) -> VerificationReport:
     """Check [x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples.
 
@@ -128,59 +156,31 @@ def verify_right_leibniz(alg: AlgebraDef) -> VerificationReport:
     on basis triples as a redundant cross-check; they never fail when the main
     identity holds.
     """
+    t = alg.table
     e = [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
-    failures = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k in range(alg.dim):
-                lhs = bracket(e[i], bracket(e[j], e[k], alg), alg)
-                rhs = bracket(bracket(e[i], e[j], alg), e[k], alg) - \
-                    bracket(bracket(e[i], e[k], alg), e[j], alg)
-                if lhs != rhs:
-                    failures.append(IdentityFailure((i + 1, j + 1, k + 1), lhs, rhs))
-    derived = []
     zero = zero_vector(alg.field, alg.dim)
+    derived = []
     for i in range(alg.dim):
         for j in range(alg.dim):
-            sq = bracket(e[i], e[i], alg)
-            if bracket(e[j], sq, alg) != zero:
-                derived.append(IdentityFailure((j + 1, i + 1, i + 1),
-                                               bracket(e[j], sq, alg), zero))
+            v = bracket(e[j], t[i][i], alg)
+            if v != zero:
+                derived.append(IdentityFailure((j + 1, i + 1, i + 1), v, zero))
             for k in range(alg.dim):
-                s = bracket(e[k], bracket(e[i], e[j], alg), alg) + \
-                    bracket(e[k], bracket(e[j], e[i], alg), alg)
+                s = bracket(e[k], t[i][j] + t[j][i], alg)
                 if s != zero:
                     derived.append(IdentityFailure((k + 1, i + 1, j + 1), s, zero))
-    return VerificationReport("right", tuple(failures), tuple(derived))
+    return VerificationReport("right", tuple(_identity_failures(alg, "right")),
+                              tuple(derived))
 
 
 def is_right_leibniz(alg: AlgebraDef) -> bool:
     """Fast boolean form of verify_right_leibniz, bailing at the first failure."""
-    e = [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k in range(alg.dim):
-                lhs = bracket(e[i], bracket(e[j], e[k], alg), alg)
-                rhs = bracket(bracket(e[i], e[j], alg), e[k], alg) - \
-                    bracket(bracket(e[i], e[k], alg), e[j], alg)
-                if lhs != rhs:
-                    return False
-    return True
+    return next(_identity_failures(alg, "right"), None) is None
 
 
 def verify_left_leibniz(alg: AlgebraDef) -> VerificationReport:
     """Check [x,[y,z]] = [[x,y],z] + [y,[x,z]] on all basis triples."""
-    e = [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
-    failures = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            for k in range(alg.dim):
-                lhs = bracket(e[i], bracket(e[j], e[k], alg), alg)
-                rhs = bracket(bracket(e[i], e[j], alg), e[k], alg) + \
-                    bracket(e[j], bracket(e[i], e[k], alg), alg)
-                if lhs != rhs:
-                    failures.append(IdentityFailure((i + 1, j + 1, k + 1), lhs, rhs))
-    return VerificationReport("left", tuple(failures))
+    return VerificationReport("left", tuple(_identity_failures(alg, "left")))
 
 
 def is_antisymmetric(alg: AlgebraDef) -> bool:
@@ -218,9 +218,10 @@ def ideal_closure(s: Subspace, alg: AlgebraDef) -> "IdealHandle":
         grown = subspace_sum(grown, subspace_product(full, current, alg))
         if grown == current:
             return IdealHandle(alg, current)
-        assert grown.dim > current.dim
+        if grown.dim <= current.dim:
+            raise ChainVerificationError("ideal closure failed to grow")
         current = grown
-    raise AssertionError("ideal closure failed to stabilize within dim+1 rounds")
+    raise ChainVerificationError("ideal closure failed to stabilize within dim+1 rounds")
 
 
 @dataclass(frozen=True)

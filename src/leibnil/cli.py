@@ -15,6 +15,7 @@ import argparse
 import sys
 
 from .algebra import (
+    ChainVerificationError,
     IdealHandle,
     full_ideal,
     is_antisymmetric,
@@ -31,7 +32,6 @@ from .files import (
 from .linalg import Vector
 from .search import run_search
 from .series import (
-    ChainVerificationError,
     FOUND,
     NEVER,
     compute_series,
@@ -270,11 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser("profile", help="compute all series and indices")
     p_profile.add_argument("path")
-    group = p_profile.add_mutually_exclusive_group()
-    group.add_argument("--ideal", metavar="NAME", default=None,
-                       help="analyze a named ideal from the file")
-    group.add_argument("--full", action="store_true",
-                       help="analyze the full algebra (default)")
+    p_profile.add_argument("--ideal", metavar="NAME", default=None,
+                           help="analyze a named ideal from the file "
+                                "(default: the full algebra)")
     p_profile.add_argument("--nmax", type=int, default=64)
     p_profile.add_argument("--kmax", type=int, default=None,
                            help="translate-series bound (default dim+1)")
@@ -289,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--assign", action="append", metavar="NAME=c1,c2,...",
                         help="vector assignment for a generator (repeatable)")
     p_norm.add_argument("--max-term-length", type=int, default=10)
-    p_norm.add_argument("--json", metavar="OUT", default=None)
     p_norm.set_defaults(func=cmd_normalize)
 
     p_search = sub.add_parser("search", help="sweep small structure-constant tensors")

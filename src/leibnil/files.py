@@ -8,7 +8,7 @@ so a fixed (input, flags, seed) triple always produces byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -118,24 +118,7 @@ def es_verdict_to_dict(verdict: EsNilVerdict) -> dict:
 
 
 def profile_to_dict(profile: NilpotencyProfile) -> dict:
-    return {
-        "right_index": profile.right_index,
-        "right_status": profile.right_status,
-        "left_index": profile.left_index,
-        "left_status": profile.left_status,
-        "general_index": profile.general_index,
-        "general_status": profile.general_status,
-        "strong_index": profile.strong_index,
-        "strong_status": profile.strong_status,
-        "es_right_nil_k": profile.es_right_nil_k,
-        "es_right_definitive": profile.es_right_definitive,
-        "es_left_nil_k": profile.es_left_nil_k,
-        "es_left_definitive": profile.es_left_definitive,
-        "theorem_bound": profile.theorem_bound,
-        "alt_bound": profile.alt_bound,
-        "bound_satisfied": profile.bound_satisfied,
-        "bound_verdict": profile.bound_verdict,
-    }
+    return asdict(profile)
 
 
 def inclusions_to_dict(report: InclusionReport) -> dict:
@@ -143,10 +126,7 @@ def inclusions_to_dict(report: InclusionReport) -> dict:
         "seed": report.seed,
         "samples": report.samples,
         "all_passed": report.ok,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
     }
 
 

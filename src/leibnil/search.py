@@ -114,6 +114,12 @@ def run_search(dim: int, p: int, samples: int | None, seed: int,
     are drawn. `limit` caps the processed candidates; hitting it flags the
     report as partial.
     """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    if samples is not None and samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     field = PrimeField(p)
     if samples is None:
         samples = 0 if dim <= 2 else 5000

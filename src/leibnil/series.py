@@ -20,7 +20,14 @@ from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
-from .algebra import AlgebraDef, IdealHandle, bracket, es_of, subspace_product
+from .algebra import (
+    AlgebraDef,
+    ChainVerificationError,
+    IdealHandle,
+    bracket,
+    es_of,
+    subspace_product,
+)
 from .fields import Field
 from .linalg import (
     Subspace,
@@ -41,10 +48,6 @@ class SeriesKind(str, Enum):
     BK_CHAIN = "bk_chain"
     RIGHT_TRANSLATES = "right_translates"
     LEFT_TRANSLATES = "left_translates"
-
-
-class ChainVerificationError(RuntimeError):
-    """A series invariant that follows from the theory failed on an instance."""
 
 
 # kinds whose recurrence is a function of the previous entry alone, so a
@@ -91,42 +94,45 @@ class SeriesTable:
         return None
 
 
-def _one_step_series(b: IdealHandle, n_max: int, kind: SeriesKind,
-                     multiply_on_right: bool) -> SeriesTable:
-    alg = b.algebra
-    entries: list[tuple[int, Subspace]] = [(0, alg.full_space()), (1, b.space)]
-    current = b.space
+def _product_series(kind: SeriesKind, head: list[tuple[int, Subspace]],
+                    factor: Subspace, n_max: int, alg: AlgebraDef,
+                    multiply_on_right: bool) -> SeriesTable:
+    """Extend head by X -> X.F (resp. F.X) up to index n_max.
+
+    Stops early at zero or at a repeat, which is a fixed point of the map, so
+    every later entry is equal.
+    """
+    entries = list(head)
+    n, current = entries[-1]
+    if n_max < n:
+        raise ValueError(f"{kind.value} bound must be >= {n}, got {n_max}")
     terminated_zero = current.is_zero()
     stabilized = False
-    n = 1
     while not terminated_zero and not stabilized and n < n_max:
         if multiply_on_right:
-            nxt = subspace_product(current, b.space, alg)
+            nxt = subspace_product(current, factor, alg)
         else:
-            nxt = subspace_product(b.space, current, alg)
+            nxt = subspace_product(factor, current, alg)
         n += 1
         entries.append((n, nxt))
-        if nxt.is_zero():
-            terminated_zero = True
-        elif nxt == current:
-            # fixed point of X -> X.B (resp. B.X): every later entry is equal
-            stabilized = True
+        terminated_zero = nxt.is_zero()
+        stabilized = nxt == current
         current = nxt
     return SeriesTable(kind, tuple(entries), stabilized, terminated_zero)
 
 
 def right_powers(b: IdealHandle, n_max: int) -> SeriesTable:
     """B^0 = L, B^1 = B, B^{n+1} = B^n . B, stopping early at zero or a fixed point."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return _one_step_series(b, n_max, SeriesKind.RIGHT_POWERS, multiply_on_right=True)
+    alg = b.algebra
+    return _product_series(SeriesKind.RIGHT_POWERS, [(0, alg.full_space()), (1, b.space)],
+                           b.space, n_max, alg, multiply_on_right=True)
 
 
 def left_powers(b: IdealHandle, n_max: int) -> SeriesTable:
     """^0B = L, ^1B = B, ^{1+n}B = B . ^nB, the left-sided dual."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    return _one_step_series(b, n_max, SeriesKind.LEFT_POWERS, multiply_on_right=False)
+    alg = b.algebra
+    return _product_series(SeriesKind.LEFT_POWERS, [(0, alg.full_space()), (1, b.space)],
+                           b.space, n_max, alg, multiply_on_right=False)
 
 
 def general_powers(b: IdealHandle, n_max: int) -> SeriesTable:
@@ -200,9 +206,10 @@ def strong_filtration(b: IdealHandle, n_max: int) -> SeriesTable:
         if not changed:
             break
     else:
-        raise AssertionError("strong filtration failed to stabilize within its round cap")
+        raise ChainVerificationError("strong filtration failed to stabilize within its round cap")
     for m in range(1, n_max + 1):
-        assert is_subspace_of(w[m], w[m - 1]), "strong filtration is not decreasing"
+        if not is_subspace_of(w[m], w[m - 1]):
+            raise ChainVerificationError("strong filtration is not decreasing")
     entries: list[tuple[int, Subspace]] = []
     terminated_zero = False
     for m in range(1, n_max + 1):
@@ -216,37 +223,16 @@ def strong_filtration(b: IdealHandle, n_max: int) -> SeriesTable:
                        terminated_zero)
 
 
-def _translate_series(d: Subspace, k_max: int, alg: AlgebraDef, kind: SeriesKind,
-                      multiply_on_right: bool) -> SeriesTable:
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
-    full = alg.full_space()
-    entries: list[tuple[int, Subspace]] = [(0, d)]
-    current = d
-    terminated_zero = current.is_zero()
-    stabilized = False
-    k = 0
-    while not terminated_zero and not stabilized and k < k_max:
-        nxt = subspace_product(current, full, alg) if multiply_on_right \
-            else subspace_product(full, current, alg)
-        k += 1
-        entries.append((k, nxt))
-        if nxt.is_zero():
-            terminated_zero = True
-        elif nxt == current:
-            stabilized = True
-        current = nxt
-    return SeriesTable(kind, tuple(entries), stabilized, terminated_zero)
-
-
 def right_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
     """D, D.L, (D.L).L, ...: spans of right products d a_k ... a_1."""
-    return _translate_series(d, k_max, alg, SeriesKind.RIGHT_TRANSLATES, True)
+    return _product_series(SeriesKind.RIGHT_TRANSLATES, [(0, d)], alg.full_space(),
+                           k_max, alg, multiply_on_right=True)
 
 
 def left_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
     """D, L.D, L.(L.D), ...: spans of left products a_1(a_2(...(a_k d)))."""
-    return _translate_series(d, k_max, alg, SeriesKind.LEFT_TRANSLATES, False)
+    return _product_series(SeriesKind.LEFT_TRANSLATES, [(0, d)], alg.full_space(),
+                           k_max, alg, multiply_on_right=False)
 
 
 @dataclass(frozen=True)
@@ -397,10 +383,7 @@ def verify_paper_inclusions(b: IdealHandle, n_max: int, k_max: int | None = None
 
     # (a) right powers inside left powers + Es(B)
     for n in range(1, n_max + 1):
-        try:
-            lhs, rhs = rp.entry(n), subspace_sum(lp.entry(n), es)
-        except KeyError:
-            break
+        lhs, rhs = rp.entry(n), subspace_sum(lp.entry(n), es)
         ok = is_subspace_of(lhs, rhs)
         checks.append(InclusionCheck(
             f"right_power_{n}_in_left_plus_es", ok,
@@ -408,14 +391,11 @@ def verify_paper_inclusions(b: IdealHandle, n_max: int, k_max: int | None = None
 
     # (b) sampled right products of weight n lie in B_n
     for n in range(1, min(3, n_max) + 1):
+        target = chain.entry(n)
         bad = 0
         for _ in range(samples):
             length = rng.randint(n, n + 2)
             v = _random_right_product(alg, b.space, length, n, rng)
-            try:
-                target = chain.entry(n)
-            except KeyError:
-                target = subspace_sum(rp.entry(n), es)
             if not contains(target, v):
                 bad += 1
         checks.append(InclusionCheck(
@@ -471,10 +451,7 @@ def verify_paper_inclusions(b: IdealHandle, n_max: int, k_max: int | None = None
 
     # (e) powers inside general powers inside the filtration
     for k in range(1, n_max + 1):
-        try:
-            bp, gk, wk = rp.entry(k), gp.entry(k), sf.entry(k)
-        except KeyError:
-            break
+        bp, gk, wk = rp.entry(k), gp.entry(k), sf.entry(k)
         ok = is_subspace_of(bp, gk) and is_subspace_of(gk, wk)
         checks.append(InclusionCheck(
             f"power_sandwich_{k}", ok,
@@ -585,10 +562,10 @@ def profile_from_series(bundle: SeriesBundle, n_max: int) -> NilpotencyProfile:
         else:
             bound_satisfied, bound_verdict = None, "undetermined"
 
-    if right_index is not None and general_index is not None:
-        assert right_index <= general_index, "index sandwich violated (right/general)"
-    if general_index is not None and strong_index is not None:
-        assert general_index <= strong_index, "index sandwich violated (general/strong)"
+    if right_index is not None and general_index is not None and right_index > general_index:
+        raise ChainVerificationError("index sandwich violated (right/general)")
+    if general_index is not None and strong_index is not None and general_index > strong_index:
+        raise ChainVerificationError("index sandwich violated (general/strong)")
 
     return NilpotencyProfile(
         right_index=right_index, right_status=right_status,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebra import AlgebraDef, bracket
+from .algebra import AlgebraDef, ChainVerificationError, bracket
 from .linalg import Subspace, Vector, contains, zero_vector
 
 
@@ -286,8 +286,8 @@ def normalize(t: ProductTree) -> LinComb:
             continue
         phi = potential(tree)
         plus, minus = _rewrite_leftmost_innermost(tree)
-        assert potential(plus) < phi and potential(minus) < phi, \
-            "rewrite failed to decrease the termination measure"
+        if not (potential(plus) < phi and potential(minus) < phi):
+            raise ChainVerificationError("rewrite failed to decrease the termination measure")
         stack.append((coeff, plus))
         stack.append((-coeff, minus))
     return lincomb(acc)

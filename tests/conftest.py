@@ -1,8 +1,11 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from leibnil.algebra import full_ideal
 from leibnil.files import load_algebra_file
+from leibnil.series import SeriesKind, SeriesTable, compute_series
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -43,3 +46,12 @@ def h3(algebras):
 @pytest.fixture(scope="session")
 def broken():
     return load_algebra_file(FIXTURES / "broken.json")
+
+
+@pytest.fixture(scope="session")
+def inconsistent_bundle(l2):
+    """l2's series with general powers dying at 2, before the right index 3."""
+    b = full_ideal(l2.algebra)
+    general = SeriesTable(SeriesKind.GENERAL_POWERS,
+                          ((1, b.space), (2, l2.algebra.zero_space())), False, True)
+    return replace(compute_series(b, 8), general=general)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from leibnil import cli
 from leibnil.cli import main
 
 from .conftest import FIXTURES
@@ -84,6 +85,18 @@ class TestProfile:
     def test_broken_algebra_fails_math(self, capsys):
         assert main(["profile", fx("broken")]) == 1
 
+    def test_broken_invariant_exits_1_with_message(self, monkeypatch, capsys,
+                                                   inconsistent_bundle):
+        monkeypatch.setattr(cli, "compute_series", lambda *args: inconsistent_bundle)
+        assert main(["profile", fx("l2")]) == 1
+        assert "mathematical check failed: index sandwich violated" in \
+            capsys.readouterr().err
+
+    def test_full_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", fx("l2"), "--full"])
+        assert exc.value.code == 2
+
     def test_json_deterministic(self, tmp_path, capsys):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
         assert main(["profile", fx("l2"), "--seed", "5", "--json", str(p1)]) == 0
@@ -127,6 +140,13 @@ class TestNormalize:
         assert main(["normalize", "a", "--algebra", fx("h3"),
                      "--assign", "a=1,0"]) == 2
 
+    def test_json_flag_removed(self, tmp_path, capsys):
+        out_path = tmp_path / "n.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["normalize", "a*(b*c)", "--json", str(out_path)])
+        assert exc.value.code == 2
+        assert not out_path.exists()
+
 
 class TestSearch:
     def test_dim2_exhaustive(self, capsys, tmp_path):
@@ -158,3 +178,9 @@ class TestSearch:
 
     def test_exhaustive_beyond_dim3_rejected(self, capsys):
         assert main(["search", "--dim", "4", "--samples", "0"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--dim", "3", "--samples", "-5"],
+                                       ["--dim", "0"],
+                                       ["--limit", "-3"]])
+    def test_out_of_range_is_usage_error(self, flags, capsys):
+        assert main(["search", *flags]) == 2

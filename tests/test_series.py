@@ -1,4 +1,6 @@
+import ast
 from itertools import combinations, product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -9,6 +11,7 @@ from leibnil.fields import QQ
 from leibnil.linalg import is_subspace_of, span, vector, zero_subspace
 from leibnil.series import (
     FOUND,
+    ChainVerificationError,
     NEVER,
     UNDETERMINED,
     SeriesKind,
@@ -373,6 +376,20 @@ class TestIndexSandwich:
             assert p.right_index <= p.general_index
         if p.general_index is not None and p.strong_index is not None:
             assert p.general_index <= p.strong_index
+
+
+class TestInvariants:
+    def test_inconsistent_bundle_raises(self, inconsistent_bundle):
+        with pytest.raises(ChainVerificationError, match="right/general"):
+            profile_from_series(inconsistent_bundle, 8)
+
+    def test_library_has_no_assert(self):
+        # invariants must raise under python -O too, which strips asserts
+        src = Path(__file__).resolve().parent.parent / "src" / "leibnil"
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+            assert asserts == [], f"{path.name} asserts at lines {asserts}"
 
 
 @given(st.data())
