@@ -249,7 +249,10 @@ def full_ideal(alg: AlgebraDef) -> IdealHandle:
     return IdealHandle(alg, alg.full_space())
 
 
-@lru_cache(maxsize=None)
+# A profile asks for the squares ideal of one algebra many times and a search
+# profiles each algebra once, so a few entries serve both; an unbounded cache
+# would keep every algebra a long-lived process has seen.
+@lru_cache(maxsize=8)
 def squares_ideal(alg: AlgebraDef) -> IdealHandle:
     """Ideal generated by all squares [x, x].
 

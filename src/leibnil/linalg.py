@@ -101,11 +101,34 @@ def _rref(field: Field, rows: list[list[Scalar]]) -> tuple[tuple[Scalar, ...], .
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace given by its canonical reduced-echelon basis rows."""
+    """A subspace given by its canonical reduced-echelon basis rows.
+
+    Equality and hashing are those of the field tuple, but the hash is
+    computed once per object and kept outside the fields: series memos look
+    subspaces up many times, and hashing the rows means hashing every scalar.
+    """
 
     field: Field
     ambient_dim: int
     basis: tuple[tuple[Scalar, ...], ...]
+
+    def __hash__(self) -> int:
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.field, self.ambient_dim, self.basis))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if hash(self) != hash(other):
+            return False
+        return (self.field, self.ambient_dim, self.basis) == \
+            (other.field, other.ambient_dim, other.basis)
 
     @property
     def dim(self) -> int:
@@ -207,4 +230,8 @@ def contains(u: Subspace, v: Vector) -> bool:
 
 def is_subspace_of(u: Subspace, v: Subspace) -> bool:
     _check_same_ambient(u, v)
+    if u is v:
+        return True
+    if u.dim > v.dim:
+        return False
     return all(contains(v, w) for w in u.basis_vectors())

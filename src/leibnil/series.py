@@ -121,6 +121,39 @@ def _product_series(kind: SeriesKind, head: list[tuple[int, Subspace]],
     return SeriesTable(kind, tuple(entries), stabilized, terminated_zero)
 
 
+class _Products:
+    """Interned subspaces with memoized products and inclusions, for one computation.
+
+    Equal subspaces become one object, so every memo lookup after the first
+    is a cached hash and an identity test. Products and inclusion tests are
+    called through their module-level names, so a wrapper installed on
+    those names still sees each one computed.
+    """
+
+    def __init__(self, alg: AlgebraDef) -> None:
+        self.alg = alg
+        self._interned: dict[Subspace, Subspace] = {}
+        self._products: dict[tuple[Subspace, Subspace], Subspace] = {}
+        self._inside: dict[tuple[Subspace, Subspace], bool] = {}
+
+    def intern(self, s: Subspace) -> Subspace:
+        return self._interned.setdefault(s, s)
+
+    def product(self, u: Subspace, v: Subspace) -> Subspace:
+        """u . v for interned u and v, itself interned."""
+        p = self._products.get((u, v))
+        if p is None:
+            p = self._products[u, v] = self.intern(subspace_product(u, v, self.alg))
+        return p
+
+    def inside(self, u: Subspace, w: Subspace) -> bool:
+        """Whether u lies in w, for interned u and w."""
+        inside = self._inside.get((u, w))
+        if inside is None:
+            inside = self._inside[u, w] = is_subspace_of(u, w)
+        return inside
+
+
 def right_powers(b: IdealHandle, n_max: int) -> SeriesTable:
     """B^0 = L, B^1 = B, B^{n+1} = B^n . B, stopping early at zero or a fixed point."""
     alg = b.algebra
@@ -147,20 +180,18 @@ def general_powers(b: IdealHandle, n_max: int) -> SeriesTable:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     alg = b.algebra
-    levels: dict[int, Subspace] = {1: b.space}
+    ops = _Products(alg)
+    levels: dict[int, Subspace] = {1: ops.intern(b.space)}
     entries: list[tuple[int, Subspace]] = [(1, b.space)]
     terminated_zero = b.space.is_zero()
-    memo: dict[tuple[Subspace, Subspace], Subspace] = {}
     n = 1
     while not terminated_zero and n < n_max:
         n += 1
         acc = alg.zero_space()
-        for i in range(1, n):
-            pair = (levels[i], levels[n - i])
-            if pair not in memo:
-                memo[pair] = subspace_product(pair[0], pair[1], alg)
-            acc = subspace_sum(acc, memo[pair])
-        levels[n] = acc
+        # equal levels give equal products; the sum needs each distinct one once
+        for p in dict.fromkeys(ops.product(levels[i], levels[n - i]) for i in range(1, n)):
+            acc = subspace_sum(acc, p)
+        acc = levels[n] = ops.intern(acc)
         entries.append((n, acc))
         terminated_zero = acc.is_zero()
     stabilized = len(entries) >= 2 and entries[-1][1] == entries[-2][1] \
@@ -182,9 +213,9 @@ def strong_filtration(b: IdealHandle, n_max: int) -> SeriesTable:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     alg = b.algebra
-    w: list[Subspace] = [alg.full_space(), b.space] + \
-        [alg.zero_space() for _ in range(n_max - 1)]
-    memo: dict[tuple[Subspace, Subspace], Subspace] = {}
+    ops = _Products(alg)
+    w: list[Subspace] = [ops.intern(alg.full_space()), ops.intern(b.space)] + \
+        [ops.intern(alg.zero_space())] * (n_max - 1)
     for _ in range(n_max * alg.dim + 2):
         changed = False
         for i in range(n_max + 1):
@@ -193,15 +224,12 @@ def strong_filtration(b: IdealHandle, n_max: int) -> SeriesTable:
             for j in range(n_max + 1):
                 if (i == 0 and j == 0) or w[j].is_zero():
                     continue
-                pair = (w[i], w[j])
-                if pair not in memo:
-                    memo[pair] = subspace_product(pair[0], pair[1], alg)
-                p = memo[pair]
+                p = ops.product(w[i], w[j])
                 if p.is_zero():
                     continue
                 t = min(i + j, n_max)
-                if not is_subspace_of(p, w[t]):
-                    w[t] = subspace_sum(w[t], p)
+                if not ops.inside(p, w[t]):
+                    w[t] = ops.intern(subspace_sum(w[t], p))
                     changed = True
         if not changed:
             break
@@ -424,9 +452,9 @@ def verify_paper_inclusions(b: IdealHandle, n_max: int, k_max: int | None = None
                 f"{samples - bad}/{samples} sampled products inside (B^{ell}).L^{k}"))
 
     # (d) filtration levels multiply into their weight sum
-    memo: dict[tuple[Subspace, Subspace], Subspace] = {}
-    level = {0: alg.full_space()}
-    level.update({m: s for m, s in sf.entries})
+    ops = _Products(alg)
+    level = {0: ops.intern(alg.full_space())}
+    level.update({m: ops.intern(s) for m, s in sf.entries})
     max_level = max(level)
     ok_d = True
     worst = ""
@@ -436,13 +464,10 @@ def verify_paper_inclusions(b: IdealHandle, n_max: int, k_max: int | None = None
                 continue
             target_idx = i + j
             try:
-                target = sf.entry(target_idx) if target_idx >= 1 else level[0]
+                target = ops.intern(sf.entry(target_idx)) if target_idx >= 1 else level[0]
             except KeyError:
                 continue
-            pair = (level[i], level[j])
-            if pair not in memo:
-                memo[pair] = subspace_product(pair[0], pair[1], alg)
-            if not is_subspace_of(memo[pair], target):
+            if not ops.inside(ops.product(level[i], level[j]), target):
                 ok_d = False
                 worst = f"B^<{i}> . B^<{j}> escapes B^<{i + j}>"
     checks.append(InclusionCheck(

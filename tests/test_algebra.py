@@ -18,6 +18,7 @@ from leibnil.algebra import (
 )
 from leibnil.fields import GF, QQ
 from leibnil.linalg import contains, is_subspace_of, span, vector, zero_subspace
+from leibnil.series import NEVER, nilpotency_profile
 
 from .conftest import FIXTURE_NAMES
 from .strategies import scalars, vectors
@@ -251,6 +252,15 @@ class TestSquaresIdeal:
         alg = algebras[name].algebra
         x = data.draw(vectors(field=QQ, dim=alg.dim))
         assert contains(squares_ideal(alg).space, bracket(x, x, alg))
+
+    def test_cache_stays_bounded_over_many_profiles(self):
+        maxsize = squares_ideal.cache_info().maxsize
+        assert maxsize is not None
+        for c in range(1, maxsize + 4):
+            # distinct algebras [e2, e1] = c e2, each profiled once
+            alg = algebra_from_constants(f"a2_{c}", 2, QQ, [(2, 1, 2, QQ.from_int(c))])
+            assert nilpotency_profile(full_ideal(alg), 3).right_status == NEVER
+        assert squares_ideal.cache_info().currsize <= maxsize
 
 
 class TestEsOf:

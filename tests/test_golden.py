@@ -1,9 +1,10 @@
-"""Byte-level golden reports for the bundled fixtures.
+"""Byte-level golden reports for the bundled fixtures and two generated algebras.
 
 The files under tests/golden were written by `leibnil profile --json` and
 `leibnil check --json`; a refactor that changes any report byte fails here.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,24 @@ CASES = {
     "check_broken": ["check", "broken"],
 }
 
+# Relabelled copies f_{p(i)} = s_i e_i, with constants c s_i s_j s_k, of two
+# families whose indices are known, written out here so fixtures/ stays as is.
+GENERATED = {
+    # S_4: [e_i, e_1] = e_i for i >= 2, with p = (3, 1, 4, 2) and s = (-1, 1, -1, 1).
+    # Right powers reach a nonzero fixed point: the NEVER path, where the
+    # general powers and the strong filtration run to nmax with -1 pivots.
+    "profile_s4_signed": (
+        {"name": "s4_signed", "dim": 4, "field": {"type": "Q"},
+         "constants": [[1, 3, 1, "-1"], [2, 3, 2, "-1"], [4, 3, 4, "-1"]]},
+        64),
+    # NF_4: [e_i, e_1] = e_{i+1}, with p = (2, 4, 1, 3) and s = (1, -1, -1, 1).
+    # Right, general and strong indices are all 5; nmax is the bound 4*5^2 - 2*5 + 1.
+    "profile_nf4_signed": (
+        {"name": "nf4_signed", "dim": 4, "field": {"type": "Q"},
+         "constants": [[1, 2, 3, "-1"], [2, 2, 4, "-1"], [4, 2, 1, "1"]]},
+        91),
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden_bytes(name, tmp_path, capsys):
@@ -35,4 +54,16 @@ def test_report_matches_golden_bytes(name, tmp_path, capsys):
     expected_code = 1 if fixture == "broken" else 0
     assert main([command, str(FIXTURES / f"{fixture}.json"), *flags,
                  "--json", str(out)]) == expected_code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_profile_matches_golden_bytes(name, tmp_path, capsys):
+    data, nmax = GENERATED[name]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["profile", str(path), "--nmax", str(nmax), "--json", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -1,10 +1,12 @@
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from leibnil.fields import GF, QQ
 from leibnil.linalg import (
+    Subspace,
     Vector,
     contains,
     full_subspace,
@@ -16,7 +18,7 @@ from leibnil.linalg import (
     zero_subspace,
 )
 
-from .strategies import paired_subspaces, subspaces, vectors
+from .strategies import paired_subspaces, scalars, small_fields, subspaces, vectors
 
 
 def qvec(*coords):
@@ -150,3 +152,69 @@ def test_echelon_shape(u):
         for r2, other in enumerate(u.basis):
             if r2 != r:
                 assert other[pivot_cols[r]] == zero
+
+
+class TestSubspaceContract:
+    """Equality and hashing follow the fields, whatever the hash caching does."""
+
+    @given(st.data())
+    def test_spans_of_one_space_are_equal_and_hash_equal(self, data):
+        f = data.draw(small_fields)
+        d = data.draw(st.integers(min_value=1, max_value=4))
+        vs = data.draw(st.lists(vectors(field=f, dim=d), max_size=d + 1))
+        scales = [data.draw(scalars(f).filter(lambda c: c != 0)) for _ in vs]
+        # nonzero multiples in reverse order, plus sums of neighbours
+        others = [v.scale(c) for v, c in zip(vs, scales)][::-1]
+        others += [x + y for x, y in zip(vs, vs[1:])]
+        u, w = span(vs, d, f), span(others, d, f)
+        assert u == w and w == u
+        assert hash(u) == hash(w)
+
+    @given(subspaces(field=GF(5)))
+    def test_same_rows_over_q_and_gf_p_are_unequal(self, s):
+        q = Subspace(QQ, s.ambient_dim, tuple(tuple(Fraction(a) for a in row)
+                                             for row in s.basis))
+        assert q.basis == s.basis
+        assert q != s and s != q
+        assert len({q, s}) == 2
+
+    @given(paired_subspaces())
+    def test_equality_is_field_equality(self, pair):
+        u, v = pair
+        same = (u.field, u.ambient_dim, u.basis) == (v.field, v.ambient_dim, v.basis)
+        hash(u)
+        assert (u == v) == same
+        assert (u == v) == (u == replace(v))
+
+    def test_fields_repr_and_replace_unchanged(self):
+        s = span([qvec(1, 2)], 2)
+        before = repr(s)
+        hash(s)
+        assert [f.name for f in fields(Subspace)] == ["field", "ambient_dim", "basis"]
+        assert repr(s) == before == "<dim 1 in Q^2: (1, 2)>"
+        assert asdict(s) == {"field": {}, "ambient_dim": 2,
+                             "basis": ((Fraction(1), Fraction(2)),)}
+        t = replace(s)
+        assert t == s and t is not s and hash(t) == hash(s)
+        assert replace(s, basis=()) == zero_subspace(QQ, 2)
+        assert s != "not a subspace"
+
+    def test_setting_an_attribute_raises(self):
+        s = span([qvec(1, 2)], 2)
+        hash(s)
+        with pytest.raises(FrozenInstanceError):
+            s.basis = ()
+        with pytest.raises(FrozenInstanceError):
+            s.extra = 1
+
+    @given(paired_subspaces())
+    def test_inclusion_shortcuts_agree_with_row_test(self, pair):
+        u, v = pair
+
+        def row_test(a, b):
+            return all(contains(b, w) for w in a.basis_vectors())
+
+        assert is_subspace_of(u, u) is True and row_test(u, u)
+        assert is_subspace_of(u, v) == row_test(u, v)
+        if u.dim > v.dim:
+            assert not row_test(u, v)

@@ -6,9 +6,20 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leibnil.algebra import IdealHandle, bracket, es_of, full_ideal, subspace_product
-from leibnil.fields import QQ
-from leibnil.linalg import is_subspace_of, span, vector, zero_subspace
+from leibnil.algebra import (
+    IdealHandle,
+    algebra_from_constants,
+    bracket,
+    es_of,
+    full_ideal,
+    ideal_closure,
+    is_right_leibniz,
+    squares_ideal,
+    subspace_product,
+)
+from leibnil.fields import GF, QQ
+from leibnil.linalg import is_subspace_of, span, subspace_sum, vector, zero_subspace
+from leibnil.search import sparse_tensors_sampled
 from leibnil.series import (
     FOUND,
     ChainVerificationError,
@@ -100,6 +111,45 @@ def oracle_strong_level(b, m, max_len):
                             factors[slot] = vec
                         out.append(eval_shape(shape, factors, alg))
     return span(out, alg.dim, alg.field)
+
+
+def oracle_graded_filtration(b, m_max):
+    """B^<m> for m = 1..m_max by the graded recurrence, not by a fixpoint.
+
+    W_1 = B and W_m = ideal_closure(sum over i+j = m of W_i . W_j): a product
+    with at least m factors in B splits at its top node into parts carrying
+    i and j of them, and the closure supplies the factors from L.
+    """
+    alg = b.algebra
+    w = {1: b.space}
+    for m in range(2, m_max + 1):
+        acc = alg.zero_space()
+        for i in range(1, m):
+            acc = subspace_sum(acc, subspace_product(w[i], w[m - i], alg))
+        w[m] = ideal_closure(acc, alg).space
+    return w
+
+
+def signed_relabel(constants, dim, rng):
+    """Constants of the copy f_{p(i)} = s_i e_i, for a random permutation p and signs s."""
+    perm = list(range(1, dim + 1))
+    rng.shuffle(perm)
+    sign = [rng.choice((1, -1)) for _ in range(dim)]
+    return [(perm[i - 1], perm[j - 1], perm[k - 1],
+             QQ.from_int(c * sign[i - 1] * sign[j - 1] * sign[k - 1]))
+            for i, j, k, c in constants]
+
+
+def valid_gf3_tensors(count):
+    """The first `count` right Leibniz algebras among seeded dim-3 GF(3) samples."""
+    found = []
+    for constants in sparse_tensors_sampled(3, 3, 5000, Random(4)):
+        alg = algebra_from_constants(str(constants), 3, GF(3), list(constants))
+        if is_right_leibniz(alg):
+            found.append(alg)
+            if len(found) == count:
+                return found
+    raise AssertionError(f"only {len(found)} valid tensors in the sample")
 
 
 class TestRightPowers:
@@ -201,6 +251,27 @@ class TestStrongFiltration:
         table = strong_filtration(b, max(levels))
         for m in levels:
             assert table.entry(m) == oracle_strong_level(b, m, max_len), (name, m)
+
+    def assert_matches_graded_recurrence(self, b):
+        table = strong_filtration(b, 12)
+        graded = oracle_graded_filtration(b, 12)
+        for m in range(1, 13):
+            assert table.entry(m) == graded[m], (b.algebra.name, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_never_path_matches_graded_recurrence(self, n):
+        # S_n: [e_i, e_1] = e_i for i >= 2; its levels freeze at a nonzero ideal
+        constants = signed_relabel([(i, 1, i, 1) for i in range(2, n + 1)], n, Random(n))
+        alg = algebra_from_constants(f"S{n}", n, QQ, constants)
+        b = full_ideal(alg)
+        assert strong_filtration(b, 12).stabilized
+        self.assert_matches_graded_recurrence(b)
+        self.assert_matches_graded_recurrence(squares_ideal(alg))
+
+    def test_gf3_tensors_match_graded_recurrence(self):
+        for alg in valid_gf3_tensors(120):
+            self.assert_matches_graded_recurrence(full_ideal(alg))
+            self.assert_matches_graded_recurrence(squares_ideal(alg))
 
     def test_center_of_h3_dies_at_two(self, h3):
         b = IdealHandle(h3.algebra, h3.ideals["center"])
