@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Reproduce the corpus sweep behind the strong-index bound check.
 
-Runs the exhaustive dim-2 sweep over GF(3) plus a seeded batch of dim-3
-samples, prints the aggregates, and writes both JSON reports next to this
-script (or to --outdir). A nonzero exit means a bound/sandwich/filtration
-violation was observed, i.e. a falsifier or a bug.
+Runs the exhaustive dim-2 sweep over GF(p) (GF(3) by default) plus a seeded
+batch of dim-3 samples, prints the aggregates, and writes both JSON reports
+next to this script (or to --outdir). Exit 1 means a bound or filtration
+violation was counted, i.e. a falsifier or a bug. A sandwich violation stops
+the sweep instead: it raises ChainVerificationError naming the tensor, so the
+script exits 1 with a traceback and writes no report for that run.
+
+Usage: PYTHONPATH=src python scripts/run_corpus_search.py [--outdir DIR]
 """
 
 import argparse

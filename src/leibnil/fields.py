@@ -32,14 +32,8 @@ class RationalField:
     """The field of rational numbers, characteristic 0."""
 
     characteristic = 0
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -88,14 +82,8 @@ class PrimeField:
             raise ValueError(f"field order must be an odd prime >= 3, got {self.p}")
 
     characteristic = property(lambda self: self.p)
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
+    zero = 0
+    one = 1
 
     def from_int(self, n: int) -> int:
         return n % self.p

@@ -131,8 +131,8 @@ def inclusions_to_dict(report: InclusionReport) -> dict:
 
 
 def profile_report(alg: AlgebraDef, ideal_name: str, bundle: SeriesBundle,
-                   profile: NilpotencyProfile, inclusions: InclusionReport,
-                   n_max: int, k_max: int, seed: int) -> dict:
+                   chain: SeriesTable, profile: NilpotencyProfile,
+                   inclusions: InclusionReport, n_max: int, k_max: int, seed: int) -> dict:
     return {
         "tool": tool_stamp(),
         "algebra": algebra_stamp(alg),
@@ -143,7 +143,7 @@ def profile_report(alg: AlgebraDef, ideal_name: str, bundle: SeriesBundle,
             "left_powers": series_to_dict(bundle.left),
             "general_powers": series_to_dict(bundle.general),
             "strong_filtration": series_to_dict(bundle.strong),
-            "bk_chain": series_to_dict(bundle.chain),
+            "bk_chain": series_to_dict(chain),
         },
         "es": {
             "dim": bundle.es_space.dim,

@@ -1,10 +1,11 @@
 """Corpus search over small structure-constant tensors.
 
 Generates sparse candidate tensors over GF(p), keeps the ones satisfying the
-bracket identity, profiles each survivor, and aggregates: how many are right
-nilpotent, the largest strong index seen per right index, any violations of
-the strong-index bound (expected: none, a violation fails the run), and
-examples that are left nilpotent but not right nilpotent.
+bracket identity, profiles each survivor with the code behind `leibnil
+profile`, and aggregates: how many are right nilpotent, the largest strong
+index seen per right index, any violations of the strong-index bound
+(expected: none, a violation fails the run), and examples that are left
+nilpotent but not right nilpotent.
 """
 
 from __future__ import annotations
@@ -13,13 +14,24 @@ from itertools import combinations, product
 from random import Random
 from typing import Iterable, Iterator
 
-from .algebra import algebra_from_constants, full_ideal, is_right_leibniz, subspace_product
+from .algebra import ChainVerificationError, algebra_from_constants, full_ideal, is_right_leibniz
 from .fields import PrimeField
 from .files import tool_stamp
-from .linalg import is_subspace_of
-from .series import general_powers, index_bound, left_powers, right_powers, strong_filtration
+from .series import (
+    UNDETERMINED,
+    compute_series,
+    filtration_check,
+    index_bound,
+    profile_from_series,
+    right_powers,
+)
 
 Constants = tuple[tuple[int, int, int, int], ...]
+
+# series depth for every candidate, raised to the bound once a right index is known
+MIN_NMAX = 6
+# left-but-not-right nilpotent tensors listed in a report
+MAX_EXAMPLES = 5
 
 
 def sparse_tensors_exhaustive(dim: int, p: int, max_nonzero: int = 2) -> Iterator[Constants]:
@@ -47,66 +59,38 @@ def _constants_key(constants: Constants) -> str:
     return ";".join(f"{i},{j},{k}:{v}" for i, j, k, v in constants)
 
 
-def _filtration_respected(levels: dict, alg, up_to: int) -> bool:
-    for i in sorted(levels):
-        for j in sorted(levels):
-            if i + j > up_to or (i == 0 and j == 0):
-                continue
-            prod = subspace_product(levels[i], levels[j], alg)
-            if not is_subspace_of(prod, levels[i + j]):
-                return False
-    return True
+def analyze_candidate(constants: Constants, field: PrimeField, dim: int) -> dict | None:
+    """Profile one tensor with the profile's verdict code; None if it fails the identity.
 
-
-def analyze_candidate(constants: Constants, field: PrimeField, dim: int,
-                      filtration_depth: int = 6) -> dict | None:
-    """Profile one tensor; None if it fails the bracket identity."""
+    A failed invariant is re-raised as ChainVerificationError naming the tensor.
+    """
     alg = algebra_from_constants(_constants_key(constants), dim, field, list(constants))
     if not is_right_leibniz(alg):
         return None
     b = full_ideal(alg)
-    rp = right_powers(b, dim + 2)
-    lp = left_powers(b, dim + 2)
-    right_index = rp.first_zero_index()
-    left_index = lp.first_zero_index()
-
-    result = {
+    # the right powers of L decrease, so they stop by index dim+1
+    n = right_powers(b, dim + 2).first_zero_index()
+    n_max = max(MIN_NMAX, dim + 2)
+    if n is not None:
+        n_max = max(n_max, index_bound(n))
+    try:
+        bundle = compute_series(b, n_max)
+        profile = profile_from_series(bundle, n_max)
+    except ChainVerificationError as exc:
+        raise ChainVerificationError(f"candidate {alg.name}: {exc}") from exc
+    return {
         "constants": [list(c) for c in constants],
-        "right_index": right_index,
-        "left_index": left_index,
-        "right_definitive": right_index is not None or rp.stabilized,
+        "right_index": profile.right_index,
+        "left_index": profile.left_index,
+        "right_definitive": profile.right_status != UNDETERMINED,
+        "strong_index": profile.strong_index,
+        "bound_ok": profile.bound_satisfied,
+        "filtration_ok": filtration_check(bundle.strong, alg).passed,
     }
-
-    depth = filtration_depth
-    if right_index is not None:
-        depth = max(depth, index_bound(right_index))
-    sf = strong_filtration(b, depth)
-    gp = general_powers(b, depth)
-    result["strong_index"] = sf.first_zero_index()
-    result["general_index"] = gp.first_zero_index()
-
-    levels = {0: alg.full_space()}
-    levels.update({m: s for m, s in sf.entries if m <= filtration_depth})
-    result["filtration_ok"] = _filtration_respected(levels, alg,
-                                                    min(filtration_depth, max(levels)))
-
-    sandwich_ok = True
-    ri, gi, si = right_index, result["general_index"], result["strong_index"]
-    if ri is not None and gi is not None and ri > gi:
-        sandwich_ok = False
-    if gi is not None and si is not None and gi > si:
-        sandwich_ok = False
-    result["sandwich_ok"] = sandwich_ok
-
-    if right_index is not None:
-        bound = index_bound(right_index)
-        result["bound"] = bound
-        result["bound_ok"] = si is not None and si <= bound
-    return result
 
 
 def run_search(dim: int, p: int, samples: int | None, seed: int,
-               max_examples: int = 5, limit: int | None = None) -> dict:
+               limit: int | None = None) -> dict:
     """Search the candidate space and aggregate the profiles into a report.
 
     samples == 0 (or None with dim <= 2) runs the exhaustive sparse sweep,
@@ -170,9 +154,10 @@ def run_search(dim: int, p: int, samples: int | None, seed: int,
         "right_nilpotent": len(right_nilpotent),
         "not_right_nilpotent": len(valid) - len(right_nilpotent),
         "left_not_right_count": len(left_not_right),
-        "left_not_right_examples": [r["constants"] for r in left_not_right[:max_examples]],
+        "left_not_right_examples": [r["constants"] for r in left_not_right[:MAX_EXAMPLES]],
         "max_strong_by_right_index": max_strong,
         "bound_violations": bound_violations,
-        "sandwich_violations": sum(1 for r in valid if not r["sandwich_ok"]),
+        # a sandwich violation raises instead; the counter keeps the report format
+        "sandwich_violations": 0,
         "filtration_violations": sum(1 for r in valid if not r["filtration_ok"]),
     }

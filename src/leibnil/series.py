@@ -385,6 +385,32 @@ class InclusionReport:
         return all(c.passed for c in self.checks)
 
 
+def filtration_check(strong: SeriesTable, alg: AlgebraDef) -> InclusionCheck:
+    """Inclusion check (d): B^<i> . B^<j> inside B^<i+j> for the computed levels.
+
+    Level 0 is L. A pair whose target level lies past the table's sound range
+    is skipped.
+    """
+    ops = _Products(alg)
+    level = {0: ops.intern(alg.full_space())}
+    level.update({m: ops.intern(s) for m, s in strong.entries})
+    ok = True
+    worst = ""
+    for i, left in level.items():
+        for j, right in level.items():
+            if i == 0 and j == 0:
+                continue
+            try:
+                target = ops.intern(strong.entry(i + j))
+            except KeyError:
+                continue
+            if not ops.inside(ops.product(left, right), target):
+                ok = False
+                worst = f"B^<{i}> . B^<{j}> escapes B^<{i + j}>"
+    return InclusionCheck("filtration_products_respect_weight", ok,
+                          worst or f"all products up to level {max(level)} respected")
+
+
 def verify_paper_inclusions(b: IdealHandle, n_max: int, k_max: int | None = None,
                             seed: int = 0, samples: int = 20) -> InclusionReport:
     """Machine-check the inclusion lemmas on one ideal.
@@ -452,27 +478,7 @@ def verify_paper_inclusions(b: IdealHandle, n_max: int, k_max: int | None = None
                 f"{samples - bad}/{samples} sampled products inside (B^{ell}).L^{k}"))
 
     # (d) filtration levels multiply into their weight sum
-    ops = _Products(alg)
-    level = {0: ops.intern(alg.full_space())}
-    level.update({m: ops.intern(s) for m, s in sf.entries})
-    max_level = max(level)
-    ok_d = True
-    worst = ""
-    for i in sorted(level):
-        for j in sorted(level):
-            if i == 0 and j == 0:
-                continue
-            target_idx = i + j
-            try:
-                target = ops.intern(sf.entry(target_idx)) if target_idx >= 1 else level[0]
-            except KeyError:
-                continue
-            if not ops.inside(ops.product(level[i], level[j]), target):
-                ok_d = False
-                worst = f"B^<{i}> . B^<{j}> escapes B^<{i + j}>"
-    checks.append(InclusionCheck(
-        "filtration_products_respect_weight", ok_d,
-        worst or f"all products up to level {max_level} respected"))
+    checks.append(filtration_check(sf, alg))
 
     # (e) powers inside general powers inside the filtration
     for k in range(1, n_max + 1):
@@ -491,14 +497,13 @@ class SeriesBundle:
     left: SeriesTable
     general: SeriesTable
     strong: SeriesTable
-    chain: SeriesTable
     es_space: Subspace
     es_right: EsNilVerdict
     es_left: EsNilVerdict
 
 
 def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> SeriesBundle:
-    """All series tables and Es translate verdicts for one ideal."""
+    """The series tables and Es translate verdicts a profile reads, for one ideal."""
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     return SeriesBundle(
@@ -506,7 +511,6 @@ def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> Seri
         left=left_powers(b, n_max),
         general=general_powers(b, n_max),
         strong=strong_filtration(b, n_max),
-        chain=bk_chain(b, n_max),
         es_space=es_of(b),
         es_right=es_nil_index(b, "right", k_max),
         es_left=es_nil_index(b, "left", k_max),

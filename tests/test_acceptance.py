@@ -215,8 +215,8 @@ def test_criterion_8_sandwich_and_filtration(corpus_reports):
     dim2, dim3, _ = corpus_reports
     ok = all(r["sandwich_violations"] == 0 and r["filtration_violations"] == 0
              for r in (dim2, dim3))
-    verdict(8, ok, "right <= general <= strong and level products respect "
-                   "weights (i+j <= 6) on every corpus algebra")
+    verdict(8, ok, "right <= general <= strong and every pair of computed filtration "
+                   "levels respects weights on every corpus algebra")
 
 
 def test_criterion_9_determinism(tmp_path):

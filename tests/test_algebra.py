@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibnil.algebra import (
     IdealHandle,
+    _identity_failures,
     algebra_from_constants,
     bracket,
     es_of,
@@ -76,6 +78,18 @@ BROKEN_CONSTANTS = {(2, 1, 2): Fraction(1), (1, 2, 1): Fraction(1)}
 
 def qvec(*coords):
     return vector(QQ, coords)
+
+
+@st.composite
+def sampled_algebras(draw):
+    """Sparse dim-1..3 tensors over Q or GF(3), most of them not Leibniz."""
+    field = draw(st.sampled_from([QQ, GF(3)]))
+    dim = draw(st.integers(min_value=1, max_value=3))
+    index = st.integers(min_value=1, max_value=dim)
+    cells = draw(st.dictionaries(st.tuples(index, index, index),
+                                 scalars(field).filter(lambda c: c != 0), max_size=4))
+    return algebra_from_constants("sampled", dim, field,
+                                  [(i, j, k, c) for (i, j, k), c in cells.items()])
 
 
 class TestBracket:
@@ -150,6 +164,20 @@ class TestIdentityVerification:
         assert not is_right_leibniz(broken.algebra)
         failure = report.failures[0]
         assert failure.lhs != failure.rhs
+
+    @given(sampled_algebras())
+    @settings(max_examples=80, deadline=None)
+    def test_report_matches_the_identity_loop(self, alg):
+        report = verify_right_leibniz(alg)
+        assert report.ok == is_right_leibniz(alg)
+        assert report.failures == tuple(_identity_failures(alg, "right"))
+        if report.ok:
+            # the consequences [y,[x,x]] = 0 and [z,[x,y]] + [z,[y,x]] = 0 need no
+            # check of their own: they follow from the identity on basis triples
+            t, e = alg.table, [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
+            for x, y, z in product(range(alg.dim), repeat=3):
+                assert bracket(e[y], t[x][x], alg).is_zero()
+                assert bracket(e[z], t[x][y] + t[y][x], alg).is_zero()
 
     @given(st.data())
     @settings(max_examples=40)

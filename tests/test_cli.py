@@ -1,9 +1,13 @@
 import json
+import re
 
 import pytest
 
-from leibnil import cli
+from leibnil import cli, search
+from leibnil.algebra import ChainVerificationError, algebra_from_constants, is_right_leibniz
 from leibnil.cli import main
+from leibnil.fields import GF
+from leibnil.series import InclusionCheck
 
 from .conftest import FIXTURES
 
@@ -171,6 +175,29 @@ class TestSearch:
         assert main(["search", "--dim", "2", "--field", "F3", "--limit", "10",
                      "--json", str(out_path)]) == 0
         assert json.loads(out_path.read_text())["partial"] is True
+
+    def test_invariant_failure_names_the_candidate(self, monkeypatch, capsys):
+        def fail(bundle, n_max):
+            raise ChainVerificationError("index sandwich violated (general/strong)")
+
+        monkeypatch.setattr(search, "profile_from_series", fail)
+        with pytest.raises(ChainVerificationError) as exc:
+            search.run_search(2, 3, 0, 0)
+        first_valid = next(c for c in search.sparse_tensors_exhaustive(2, 3)
+                           if is_right_leibniz(algebra_from_constants("t", 2, GF(3), c)))
+        assert str(exc.value) == (f"candidate {search._constants_key(first_valid)}: "
+                                  "index sandwich violated (general/strong)")
+        assert main(["search", "--dim", "2"]) == 1
+        assert re.search(r"^mathematical check failed: candidate [0-9,:;]+: index sandwich",
+                         capsys.readouterr().err, re.M)
+
+    def test_filtration_failure_counts_every_valid_candidate(self, monkeypatch, capsys):
+        failing = InclusionCheck("filtration_products_respect_weight", False, "forced")
+        monkeypatch.setattr(search, "filtration_check", lambda strong, alg: failing)
+        report = search.run_search(2, 3, 0, 0)
+        assert report["valid"] > 0
+        assert report["filtration_violations"] == report["valid"]
+        assert main(["search", "--dim", "2"]) == 1
 
     def test_bad_field_flag_is_usage_error(self, capsys):
         assert main(["search", "--field", "GF3"]) == 2

@@ -1,9 +1,10 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from leibnil.fields import GF, QQ, PrimeField, field_from_descriptor
+from leibnil.fields import GF, QQ, PrimeField, RationalField, field_from_descriptor
 
 from .strategies import scalars, small_fields
 
@@ -80,3 +81,19 @@ def test_field_descriptors_round_trip():
         field_from_descriptor({"type": "Fp", "p": 2})
     with pytest.raises(ValueError):
         field_from_descriptor({"type": "R"})
+
+
+def test_zero_and_one_are_shared_constants():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert QQ.zero == Fraction(0) and QQ.one == Fraction(1)
+    assert type(QQ.zero) is Fraction and type(QQ.one) is Fraction
+    assert GF(5).zero == 0 and GF(5).one == 1
+
+
+def test_field_classes_keep_their_dataclass_contract():
+    assert [f.name for f in fields(RationalField)] == []
+    assert [f.name for f in fields(PrimeField)] == ["p"]
+    assert RationalField() == QQ and hash(RationalField()) == hash(QQ)
+    assert PrimeField(5) == GF(5) and hash(PrimeField(5)) == hash(GF(5))
+    assert GF(5) != GF(7) and GF(3) != QQ
+    assert QQ.characteristic == 0 and GF(7).characteristic == 7

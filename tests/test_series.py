@@ -29,6 +29,7 @@ from leibnil.series import (
     bk_chain,
     compute_series,
     es_nil_index,
+    filtration_check,
     general_powers,
     index_bound,
     left_powers,
@@ -362,7 +363,7 @@ class TestMonotoneChains:
     def test_decreasing_kinds_decrease(self, algebras, name):
         b = full_ideal(algebras[name].algebra)
         bundle = compute_series(b, 12)
-        for table in (bundle.right, bundle.left, bundle.strong, bundle.chain):
+        for table in (bundle.right, bundle.left, bundle.strong, bk_chain(b, 12)):
             entries = table.entries
             start = 1 if table.kind in (SeriesKind.RIGHT_POWERS,
                                         SeriesKind.LEFT_POWERS) else 0
@@ -386,6 +387,13 @@ class TestInclusionChecks:
                 b = IdealHandle(loaded.algebra, space)
                 report = verify_paper_inclusions(b, 6, seed=3, samples=6)
                 assert report.ok, (name, [c for c in report.checks if not c.passed])
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_check_d_is_the_shared_filtration_check(self, algebras, name):
+        b = full_ideal(algebras[name].algebra)
+        check = filtration_check(strong_filtration(b, 8), b.algebra)
+        assert check.passed
+        assert check in verify_paper_inclusions(b, 8).checks
 
     def test_report_is_seed_deterministic(self, l2):
         b = full_ideal(l2.algebra)
