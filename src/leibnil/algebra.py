@@ -1,9 +1,11 @@
 """Leibniz algebras by structure constants.
 
 An algebra is a dimension, a field, and the bracket table [e_i, e_j] stored
-as vectors. The identity [x,[y,z]] = [[x,y],z] - [[x,z],y] is checked on all
-basis triples, which suffices by trilinearity. Ideals, the ideal generated by
-all squares [x,x], and products of subspaces live here too.
+as vectors. The nonzero structure constants are also kept per row, and
+`bracket` contracts those directly. The identity
+[x,[y,z]] = [[x,y],z] - [[x,z],y] is checked on all basis triples, which
+suffices by trilinearity. Ideals, the ideal generated by all squares [x,x],
+and products of subspaces live here too.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
     zero_subspace,
-    zero_vector,
 )
 
 
@@ -38,7 +39,12 @@ class ChainVerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AlgebraDef:
-    """Bilinear bracket on field^dim, given by [e_i, e_j] = table[i-1][j-1]."""
+    """Bilinear bracket on field^dim, given by [e_i, e_j] = table[i-1][j-1].
+
+    `__post_init__` also keeps, outside the fields, the nonzero constants of
+    each row i as `_rows[i] = ((j, ((k, c), ...)), ...)`, 0-based; `bracket`
+    reads them. Equality, hashing and repr see only the fields.
+    """
 
     name: str
     field: Field
@@ -50,10 +56,19 @@ class AlgebraDef:
             raise ValueError(f"dimension must be positive, got {self.dim}")
         if len(self.table) != self.dim or any(len(row) != self.dim for row in self.table):
             raise ValueError("bracket table shape does not match dim")
+        # `is` first here and in `bracket`: the vectors of one algebra usually
+        # share its field object, and field equality is a dataclass comparison
+        field, dim = self.field, self.dim
+        rows = []
         for row in self.table:
-            for v in row:
-                if v.field != self.field or len(v.coords) != self.dim:
+            cells = []
+            for j, v in enumerate(row):
+                if (v.field is not field and v.field != field) or len(v.coords) != dim:
                     raise ValueError("bracket table entry does not conform to the algebra")
+                if any(v.coords):
+                    cells.append((j, tuple([(k, c) for k, c in enumerate(v.coords) if c])))
+            rows.append(tuple(cells))
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def basis_vector(self, i: int) -> Vector:
         return basis_vector(self.field, self.dim, i)
@@ -92,23 +107,26 @@ def algebra_from_constants(name: str, dim: int, field: Field,
 
 
 def bracket(x: Vector, y: Vector, alg: AlgebraDef) -> Vector:
-    """[x, y] by bilinear expansion through the structure constants."""
-    if x.field != alg.field or y.field != alg.field:
+    """[x, y] = sum of c * x_i * y_j * e_k over the nonzero constants (i, j, k, c)."""
+    f = alg.field
+    if (x.field is not f and x.field != f) or (y.field is not f and y.field != f):
         raise ValueError("vector field does not match the algebra")
     if len(x.coords) != alg.dim or len(y.coords) != alg.dim:
         raise ValueError("vector length does not match the algebra dimension")
-    f = alg.field
-    acc = zero_vector(f, alg.dim)
-    for i, xi in enumerate(x.coords):
-        if xi == f.zero:
+    add, mul = f.add, f.mul
+    ys = y.coords
+    out = [f.zero] * alg.dim
+    for xi, cells in zip(x.coords, alg._rows):
+        if not xi:
             continue
-        for j, yj in enumerate(y.coords):
-            if yj == f.zero:
+        for j, cell in cells:
+            yj = ys[j]
+            if not yj:
                 continue
-            base = alg.table[i][j]
-            if not base.is_zero():
-                acc = acc + base.scale(f.mul(xi, yj))
-    return acc
+            s = mul(xi, yj)
+            for k, c in cell:
+                out[k] = add(out[k], mul(s, c))
+    return Vector(f, tuple(out))
 
 
 @dataclass(frozen=True)

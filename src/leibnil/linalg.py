@@ -40,8 +40,7 @@ class Vector:
         return Vector(f, tuple(f.mul(c, a) for a in self.coords))
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for a in self.coords)
+        return not any(self.coords)
 
     def __repr__(self) -> str:
         return "(" + ", ".join(self.field.format(a) for a in self.coords) + ")"
@@ -79,17 +78,16 @@ def _rref(field: Field, rows: list[list[Scalar]]) -> tuple[tuple[Scalar, ...], .
     ncols = len(rows[0])
     m = [list(r) for r in rows]
     nrows = len(m)
-    zero = field.zero
     piv = 0
     for c in range(ncols):
-        pr = next((r for r in range(piv, nrows) if m[r][c] != zero), None)
+        pr = next((r for r in range(piv, nrows) if m[r][c]), None)
         if pr is None:
             continue
         m[piv], m[pr] = m[pr], m[piv]
         inv = field.div(field.one, m[piv][c])
         m[piv] = [field.mul(inv, x) for x in m[piv]]
         for r in range(nrows):
-            if r != piv and m[r][c] != zero:
+            if r != piv and m[r][c]:
                 factor = m[r][c]
                 m[r] = [field.sub(x, field.mul(factor, y))
                         for x, y in zip(m[r], m[piv])]
@@ -203,8 +201,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     block = [list(r) + list(r) for r in u.basis] + \
             [list(r) + zero_row for r in v.basis]
     reduced = _rref(f, block)
-    inter_rows = [list(row[n:]) for row in reduced
-                  if all(a == f.zero for a in row[:n])]
+    inter_rows = [list(row[n:]) for row in reduced if not any(row[:n])]
     return Subspace(f, n, _rref(f, inter_rows))
 
 
@@ -217,9 +214,9 @@ def reduce_against(u: Subspace, v: Vector) -> Vector:
     f = u.field
     coords = list(v.coords)
     for row in u.basis:
-        pivot_col = next(i for i, a in enumerate(row) if a != f.zero)
+        pivot_col = next(i for i, a in enumerate(row) if a)
         c = coords[pivot_col]
-        if c != f.zero:
+        if c:
             coords = [f.sub(x, f.mul(c, y)) for x, y in zip(coords, row)]
     return Vector(f, tuple(coords))
 

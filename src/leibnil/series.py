@@ -36,7 +36,6 @@ from .linalg import (
     is_subspace_of,
     span,
     subspace_sum,
-    zero_vector,
 )
 
 
@@ -344,11 +343,18 @@ def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:
 
 
 def random_vector_in(space: Subspace, rng: Random, field: Field) -> Vector:
-    """Random field combination of the basis rows (zero when the space is zero)."""
-    v = zero_vector(field, space.ambient_dim)
+    """Random field combination of the basis rows (zero when the space is zero).
+
+    One coefficient is drawn per basis row, in row order, so a seed gives the
+    same vector as summing whole scaled rows.
+    """
+    out = [field.zero] * space.ambient_dim
     for row in space.basis:
-        v = v + Vector(field, row).scale(field.random(rng))
-    return v
+        c = field.random(rng)
+        for k, a in enumerate(row):
+            if a:
+                out[k] = field.add(out[k], field.mul(c, a))
+    return Vector(field, tuple(out))
 
 
 def _random_right_product(alg: AlgebraDef, b_space: Subspace, length: int,

@@ -338,7 +338,7 @@ def _check_assignment(form: ProductTree | LinComb, assignment: Mapping[str, Vect
         all_leaves = [leaf for word, _ in form.terms for leaf in word.factors]
     else:
         all_leaves = leaves(form)
-    for leaf in all_leaves:
+    for leaf in dict.fromkeys(all_leaves):
         if leaf.name not in assignment:
             raise ValueError(f"generator {leaf.name!r} has no assignment")
         if ideal is not None and leaf.in_b and not contains(ideal, assignment[leaf.name]):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibnil.algebra import (
+    AlgebraDef,
     IdealHandle,
     _identity_failures,
     algebra_from_constants,
@@ -18,8 +20,8 @@ from leibnil.algebra import (
     verify_left_leibniz,
     verify_right_leibniz,
 )
-from leibnil.fields import GF, QQ
-from leibnil.linalg import contains, is_subspace_of, span, vector, zero_subspace
+from leibnil.fields import GF, QQ, PrimeField
+from leibnil.linalg import Vector, contains, is_subspace_of, span, vector, zero_subspace
 from leibnil.series import NEVER, nilpotency_profile
 
 from .conftest import FIXTURE_NAMES
@@ -125,6 +127,50 @@ class TestBracket:
         assert left == bracket(x, z, alg).scale(c) + bracket(y, z, alg)
         right = bracket(z, x.scale(c) + y, alg)
         assert right == bracket(z, x, alg).scale(c) + bracket(z, y, alg)
+
+
+@st.composite
+def tables_and_vectors(draw):
+    """A dim-1..4 table over Q, GF(3) or GF(5), about half of its cells
+    nonzero and seldom Leibniz, and two vectors (zero coordinates included)."""
+    field = draw(st.sampled_from([QQ, GF(3), GF(5)]))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    maybe_zero = st.one_of(st.just(field.zero), scalars(field))
+    cells = draw(st.lists(maybe_zero, min_size=dim ** 3, max_size=dim ** 3))
+    constants = {ijk: c for ijk, c in zip(product(range(1, dim + 1), repeat=3), cells)
+                 if c != 0}
+    x, y = (Vector(field, tuple(draw(st.lists(scalars(field), min_size=dim, max_size=dim))))
+            for _ in range(2))
+    return field, dim, constants, x, y
+
+
+class TestSparseKernel:
+    @given(tables_and_vectors())
+    @settings(max_examples=150, deadline=None)
+    def test_bracket_matches_the_constants_oracle(self, case):
+        field, dim, constants, x, y = case
+        alg = algebra_from_constants("sampled", dim, field,
+                                     [(i, j, k, c) for (i, j, k), c in constants.items()])
+        expected = oracle_bracket(constants, dim, x.coords, y.coords)
+        if isinstance(field, PrimeField):
+            expected = tuple(int(c) % field.p for c in expected)
+        assert bracket(x, y, alg) == Vector(field, expected)
+
+    def test_rows_hold_the_nonzero_cells(self, h3):
+        # [e1, e2] = e3 and [e2, e1] = -e3, 0-based (j, ((k, c), ...)) per row
+        assert h3.algebra._rows == (((1, ((2, Fraction(1)),)),),
+                                    ((0, ((2, Fraction(-1)),)),),
+                                    ())
+
+    def test_algebra_def_contract(self):
+        assert [f.name for f in fields(AlgebraDef)] == ["name", "field", "dim", "table"]
+        constants = [(i, j, k, Fraction(c)) for (i, j, k), c in H3_CONSTANTS.items()]
+        first = algebra_from_constants("h3", 3, QQ, constants)
+        second = algebra_from_constants("h3", 3, QQ, constants)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == "AlgebraDef('h3', dim 3 over Q)"
+        assert first != algebra_from_constants("h3", 3, QQ, constants[:1])
 
 
 class TestIdentityVerification:

@@ -88,6 +88,17 @@ class TestSumIntersect:
             subspace_intersect(span([qvec(1, 0)], 2), span([vector(GF(3), [1, 0])], 2))
 
 
+class TestZeroTests:
+    @given(vectors())
+    def test_is_zero_means_every_coordinate_equals_zero(self, v):
+        assert v.is_zero() == all(a == v.field.zero for a in v.coords)
+
+    def test_unnormalized_residue_counts_as_nonzero(self):
+        # 3 is 0 in GF(3) but not the residue 0; zero tests look at the value
+        assert not Vector(GF(3), (0, 3)).is_zero()
+        assert Vector(GF(3), (0, 0)).is_zero()
+
+
 class TestContains:
     def test_zero_vector_always_contained(self):
         assert contains(zero_subspace(QQ, 2), qvec(0, 0))

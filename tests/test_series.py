@@ -18,7 +18,15 @@ from leibnil.algebra import (
     subspace_product,
 )
 from leibnil.fields import GF, QQ
-from leibnil.linalg import is_subspace_of, span, subspace_sum, vector, zero_subspace
+from leibnil.linalg import (
+    Vector,
+    is_subspace_of,
+    span,
+    subspace_sum,
+    vector,
+    zero_subspace,
+    zero_vector,
+)
 from leibnil.search import sparse_tensors_sampled
 from leibnil.series import (
     FOUND,
@@ -36,6 +44,7 @@ from leibnil.series import (
     left_translates,
     nilpotency_profile,
     profile_from_series,
+    random_vector_in,
     right_powers,
     right_translates,
     strong_filtration,
@@ -43,6 +52,7 @@ from leibnil.series import (
 )
 
 from .conftest import FIXTURE_NAMES
+from .strategies import subspaces
 
 
 def qvec(*coords):
@@ -371,6 +381,31 @@ class TestMonotoneChains:
             for (k, upper), (_, lower) in pairs:
                 if k >= start:
                     assert is_subspace_of(lower, upper), (name, table.kind, k)
+
+
+def fold_random_vector_in(space, rng, field):
+    """random_vector_in as a fold of whole scaled rows, one draw per row."""
+    v = zero_vector(field, space.ambient_dim)
+    for row in space.basis:
+        v = v + Vector(field, row).scale(field.random(rng))
+    return v
+
+
+class TestRandomVectorIn:
+    @given(st.sampled_from([QQ, GF(5)]).flatmap(lambda f: subspaces(field=f)),
+           st.integers(min_value=0, max_value=2 ** 32))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_row_fold(self, space, seed):
+        rng, oracle_rng = Random(seed), Random(seed)
+        v = random_vector_in(space, rng, space.field)
+        assert v == fold_random_vector_in(space, oracle_rng, space.field)
+        assert rng.getstate() == oracle_rng.getstate()
+
+    def test_zero_space_gives_zero_and_draws_nothing(self):
+        rng = Random(4)
+        state = rng.getstate()
+        assert random_vector_in(zero_subspace(GF(5), 3), rng, GF(5)).is_zero()
+        assert rng.getstate() == state
 
 
 class TestInclusionChecks:

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leibnil import terms
 from leibnil.algebra import full_ideal
 from leibnil.fields import QQ
 from leibnil.linalg import vector
@@ -237,6 +238,36 @@ class TestEvaluate:
         evaluate(parse("b!"), inside, alg, ideal=ideal)
         with pytest.raises(ValueError):
             evaluate(parse("b!"), outside, alg, ideal=ideal)
+
+    def test_repeated_leaves_raise_the_first_error(self, a2):
+        alg, ideal = a2.algebra, a2.ideals["span_e2"]
+        e1, e2 = vector(QQ, [1, 0]), vector(QQ, [0, 1])
+        t = parse("a*b!*c*b!*c*a*b!*c")
+        for form in (t, normalize(t)):
+            with pytest.raises(ValueError, match="^generator 'c' has no assignment$"):
+                evaluate(form, {"a": e1, "b": e2}, alg, ideal=ideal)
+            with pytest.raises(ValueError, match="^generator 'b' is tagged but its value "
+                                                 "is outside the ideal$"):
+                evaluate(form, {"a": e1, "b": e1, "c": e1}, alg, ideal=ideal)
+
+    def test_each_tagged_leaf_is_tested_once(self, a2, monkeypatch):
+        alg, ideal = a2.algebra, a2.ideals["span_e2"]
+        calls = []
+
+        def counting_contains(space, v):
+            calls.append(v)
+            return True
+
+        monkeypatch.setattr(terms, "contains", counting_contains)
+        env = {"a": vector(QQ, [1, 0]), "b": vector(QQ, [0, 1]), "c": vector(QQ, [0, 2])}
+        t = parse("[a!,[b!,c]]*[b!,[a,c!]]*b!")
+        lc = normalize(t)
+        assert len(lc.terms) > 1
+        for form in (t, lc):
+            calls.clear()
+            evaluate(form, env, alg, ideal=ideal)
+            # one test per distinct tagged leaf a!, b!, c!; untagged a and c need none
+            assert len(calls) == 3 and all(v in calls for v in env.values())
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
