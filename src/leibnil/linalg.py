@@ -206,7 +206,11 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
 
 
 def reduce_against(u: Subspace, v: Vector) -> Vector:
-    """Residual of v after elimination by u's echelon basis."""
+    """Residual of v after elimination by u's echelon basis.
+
+    Each row is subtracted only at its nonzero entries, which in reduced
+    echelon form start at the pivot; the other coordinates are not touched.
+    """
     if v.field != u.field:
         raise ValueError(f"mixed fields: {u.field!r} vs {v.field!r}")
     if len(v.coords) != u.ambient_dim:
@@ -217,7 +221,10 @@ def reduce_against(u: Subspace, v: Vector) -> Vector:
         pivot_col = next(i for i, a in enumerate(row) if a)
         c = coords[pivot_col]
         if c:
-            coords = [f.sub(x, f.mul(c, y)) for x, y in zip(coords, row)]
+            for k in range(pivot_col, len(row)):
+                y = row[k]
+                if y:
+                    coords[k] = f.sub(coords[k], f.mul(c, y))
     return Vector(f, tuple(coords))
 
 

@@ -2,10 +2,12 @@
 
 A term is a binary tree over named generators; a `!` suffix on a generator
 marks it as belonging to the distinguished ideal, which is purely syntactic
-bookkeeping for length/weight tracking. Normalization rewrites
-x*(y*z) -> (x*y)*z - (x*z)*y until every term is a right word
-(((s_m s_{m-1}) s_{m-2}) ... ) s_1, and evaluation in a concrete algebra
-provides an independent oracle for the rewriter.
+bookkeeping for length/weight tracking. Normalization writes a term in the
+basis of right words (((s_m s_{m-1}) s_{m-2}) ... ) s_1 of the free right
+Leibniz algebra (Loday-Pirashvili) by operator expansion: the identity
+x*(y*z) = (x*y)*z - (x*z)*y turns right multiplication by any tree into a
+signed sum of sequences of generators. Evaluating a tree node by node in a
+concrete algebra provides an independent oracle for the normal form.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .algebra import AlgebraDef, ChainVerificationError, bracket
+from .algebra import AlgebraDef, bracket
 from .linalg import Subspace, Vector, contains, zero_vector
 
 
@@ -242,10 +244,13 @@ def _leaf_count(t: ProductTree) -> int:
 
 
 def potential(t: ProductTree) -> int:
-    """Termination measure: sum over internal nodes of C(#leaves(right), 2).
+    """Termination measure of the rewrite x*(y*z) -> (x*y)*z - (x*z)*y:
+    the sum over internal nodes of C(#leaves(right), 2).
 
-    Rewriting x*(y*z) drops the measure by exactly #y * #z >= 1 in both
-    replacement terms, and the measure is zero exactly on right words.
+    Rewriting drops the measure by exactly #y * #z >= 1 in both replacement
+    terms, and the measure is zero exactly on right words. `normalize` no
+    longer rewrites; the tests and the benchmark use the measure to bound
+    and classify terms.
     """
     if isinstance(t, Leaf):
         return 0
@@ -253,44 +258,51 @@ def potential(t: ProductTree) -> int:
     return potential(t.left) + potential(t.right) + r * (r - 1) // 2
 
 
-def _rewrite_leftmost_innermost(t: ProductTree) -> tuple[ProductTree, ProductTree] | None:
-    """One rewrite x*(y*z) -> (x*y)*z, (x*z)*y at the leftmost-innermost redex."""
+def _operator(t: ProductTree) -> dict[tuple[Leaf, ...], int]:
+    """Right multiplication by t as a signed sum of letter sequences.
+
+    x*t is the sum of c * (...((x s_1) s_2) ... s_k) over the items (s, c).
+    The identity x*(y*z) = (x*y)*z - (x*z)*y says R_[y,z] = R_y R_z - R_z R_y,
+    read left to right, and R_a of a generator is the single letter a.
+    """
     if isinstance(t, Leaf):
-        return None
-    sub = _rewrite_leftmost_innermost(t.left)
-    if sub is not None:
-        return Node(sub[0], t.right), Node(sub[1], t.right)
-    sub = _rewrite_leftmost_innermost(t.right)
-    if sub is not None:
-        return Node(t.left, sub[0]), Node(t.left, sub[1])
-    if isinstance(t.right, Node):
-        x, y, z = t.left, t.right.left, t.right.right
-        return Node(Node(x, y), z), Node(Node(x, z), y)
-    return None
+        return {(t,): 1}
+    acc: dict[tuple[Leaf, ...], int] = {}
+    right = _operator(t.right)
+    for sy, cy in _operator(t.left).items():
+        for sz, cz in right.items():
+            c = cy * cz
+            acc[sy + sz] = acc.get(sy + sz, 0) + c
+            acc[sz + sy] = acc.get(sz + sy, 0) - c
+    return {s: c for s, c in acc.items() if c}
+
+
+def _words(t: ProductTree) -> dict[tuple[Leaf, ...], int]:
+    """N(t): every word of N(left) extended by every sequence of R_right."""
+    if isinstance(t, Leaf):
+        return {(t,): 1}
+    acc: dict[tuple[Leaf, ...], int] = {}
+    right = _operator(t.right)
+    for w, cw in _words(t.left).items():
+        for s, cs in right.items():
+            acc[w + s] = acc.get(w + s, 0) + cw * cs
+    return acc
 
 
 def normalize(t: ProductTree) -> LinComb:
     """Right-normed normal form of a tree as an integer combination.
 
+    Computed by operator expansion (`_operator`, `_words`). Right words are
+    a basis of the free right Leibniz algebra (Loday-Pirashvili), so this is
+    the unique expansion of t in that basis, the one any order of applying
+    the identity reaches.
+
     Every output word has the same length, weight and leaf multiset as the
-    input; equal words collect and may cancel. Worst-case output size is
-    factorial in the length, which callers cap.
+    input; equal words collect and may cancel. A term of length n >= 2 has
+    at most 2^(n-2) words, as many as a right-nested term has, since R_t of
+    m leaves has at most 2^(m-1) sequences; callers cap the length.
     """
-    acc: dict[RightWord, int] = {}
-    stack: list[tuple[int, ProductTree]] = [(1, t)]
-    while stack:
-        coeff, tree = stack.pop()
-        word = as_right_word(tree)
-        if word is not None:
-            acc[word] = acc.get(word, 0) + coeff
-            continue
-        phi = potential(tree)
-        plus, minus = _rewrite_leftmost_innermost(tree)
-        if not (potential(plus) < phi and potential(minus) < phi):
-            raise ChainVerificationError("rewrite failed to decrease the termination measure")
-        stack.append((coeff, plus))
-        stack.append((-coeff, minus))
-    return lincomb(acc)
+    return lincomb({RightWord(w): c for w, c in _words(t).items()})
 
 
 @dataclass(frozen=True)
@@ -357,13 +369,30 @@ def evaluate(form: ProductTree | LinComb, assignment: Mapping[str, Vector],
              alg: AlgebraDef, ideal: Subspace | None = None) -> Vector:
     """Evaluate a tree or a combination of right words in a concrete algebra.
 
-    With `ideal` given, tagged generators must be assigned vectors inside it.
+    A combination keeps the partial products of the previous word and
+    brackets only the factors after the prefix the two words share, so
+    sorted words cost one bracket per distinct prefix. A tree is evaluated
+    node by node, independently of `normalize`, which makes it the oracle
+    for the normal form. With `ideal` given, tagged generators must be
+    assigned vectors inside it.
     """
     _check_assignment(form, assignment, ideal)
     if isinstance(form, LinComb):
         f = alg.field
         acc = zero_vector(f, alg.dim)
+        prev: tuple[Leaf, ...] = ()
+        partial: list[Vector] = []  # partial[i]: value of the first i + 1 factors
         for word, coeff in form.terms:
-            acc = acc + _eval_tree(word.as_tree(), assignment, alg).scale(f.from_int(coeff))
+            factors = word.factors
+            keep = 0
+            while keep < len(prev) and keep < len(factors) and prev[keep] == factors[keep]:
+                keep += 1
+            del partial[keep:]
+            if not partial:
+                partial.append(assignment[factors[0].name])
+            for leaf in factors[len(partial):]:
+                partial.append(bracket(partial[-1], assignment[leaf.name], alg))
+            prev = factors
+            acc = acc + partial[-1].scale(f.from_int(coeff))
         return acc
     return _eval_tree(form, assignment, alg)

@@ -140,6 +140,14 @@ class TestNormalize:
         assert main(["normalize", expr]) == 2
         assert main(["normalize", expr, "--max-term-length", "12"]) == 0
 
+    def test_right_nested_term_at_the_length_cap(self, capsys):
+        expr = "a*(b*(c*(d*(e*(f*(g*(h*(i*j))))))))"
+        assert main(["normalize", expr]) == 0
+        normal = capsys.readouterr().out.splitlines()[1].removeprefix("normal: ")
+        words = re.findall(r"[+-]\d+\*\[([a-z,]+)\]", normal)
+        assert len(words) == 2 ** 8 == len(normal.split())
+        assert all(sorted(w.split(",")) == list("abcdefghij") for w in words)
+
     def test_wrong_coordinate_count_is_usage_error(self, capsys):
         assert main(["normalize", "a", "--algebra", fx("h3"),
                      "--assign", "a=1,0"]) == 2

@@ -10,6 +10,7 @@ from leibnil.linalg import (
     Vector,
     contains,
     full_subspace,
+    reduce_against,
     is_subspace_of,
     span,
     subspace_intersect,
@@ -113,6 +114,27 @@ class TestContains:
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
             contains(span([qvec(1, 0)], 2), qvec(1, 0, 0))
+
+
+def dense_reduce_against(u, v):
+    """Reference residual: subtract c*row from every coordinate of v."""
+    f = u.field
+    coords = list(v.coords)
+    for row in u.basis:
+        pivot_col = next(i for i, a in enumerate(row) if a)
+        c = coords[pivot_col]
+        if c:
+            coords = [f.sub(x, f.mul(c, y)) for x, y in zip(coords, row)]
+    return Vector(f, tuple(coords))
+
+
+@given(st.data())
+def test_reduce_against_matches_dense_elimination(data):
+    f = data.draw(small_fields)
+    d = data.draw(st.integers(min_value=1, max_value=6))
+    u = data.draw(subspaces(field=f, dim=d))
+    v = data.draw(vectors(field=f, dim=d))
+    assert reduce_against(u, v) == dense_reduce_against(u, v)
 
 
 @given(paired_subspaces())

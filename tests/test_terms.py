@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from leibnil import terms
 from leibnil.algebra import full_ideal
 from leibnil.fields import QQ
-from leibnil.linalg import vector
+from leibnil.linalg import vector, zero_vector
 from leibnil.terms import (
     ExprSyntaxError,
     Leaf,
@@ -28,6 +28,41 @@ from leibnil.terms import (
 
 from .conftest import FIXTURE_NAMES
 from .strategies import trees, vectors
+
+
+def _rewrite_leftmost_innermost(t):
+    """One rewrite x*(y*z) -> (x*y)*z, (x*z)*y at the leftmost-innermost redex."""
+    if isinstance(t, Leaf):
+        return None
+    sub = _rewrite_leftmost_innermost(t.left)
+    if sub is not None:
+        return Node(sub[0], t.right), Node(sub[1], t.right)
+    sub = _rewrite_leftmost_innermost(t.right)
+    if sub is not None:
+        return Node(t.left, sub[0]), Node(t.left, sub[1])
+    if isinstance(t.right, Node):
+        x, y, z = t.left, t.right.left, t.right.right
+        return Node(Node(x, y), z), Node(Node(x, z), y)
+    return None
+
+
+def rewrite_normal_form(t):
+    """Reference normal form: rewrite one redex at a time until only right
+    words remain, checking that every step lowers the termination measure."""
+    acc = {}
+    stack = [(1, t)]
+    while stack:
+        coeff, tree = stack.pop()
+        w = as_right_word(tree)
+        if w is not None:
+            acc[w] = acc.get(w, 0) + coeff
+            continue
+        phi = potential(tree)
+        plus, minus = _rewrite_leftmost_innermost(tree)
+        assert potential(plus) < phi and potential(minus) < phi
+        stack.append((coeff, plus))
+        stack.append((-coeff, minus))
+    return lincomb(acc)
 
 
 def word(*labels):
@@ -127,6 +162,17 @@ class TestNormalize:
             assert coeff != 0
             assert w.length == length and w.weight == weight
             assert Counter((leaf.name, leaf.in_b) for leaf in w.factors) == multiset
+
+    @given(trees(max_leaves=7))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_rewriter(self, t):
+        assert normalize(t) == rewrite_normal_form(t)
+
+    def test_right_nested_length_seven_matches_the_rewriter(self):
+        t = parse("a*(b*(c*(d*(e*(f*g)))))")
+        combo = normalize(t)
+        assert len(combo.terms) == 2 ** 5
+        assert combo == rewrite_normal_form(t)
 
     @given(trees())
     def test_terms_are_sorted_and_unique(self, t):
@@ -268,6 +314,63 @@ class TestEvaluate:
             evaluate(form, env, alg, ideal=ideal)
             # one test per distinct tagged leaf a!, b!, c!; untagged a and c need none
             assert len(calls) == 3 and all(v in calls for v in env.values())
+
+    @pytest.fixture
+    def bracket_calls(self, monkeypatch):
+        calls = []
+        real_bracket = terms.bracket
+
+        def counting_bracket(x, y, alg):
+            calls.append((x, y))
+            return real_bracket(x, y, alg)
+
+        monkeypatch.setattr(terms, "bracket", counting_bracket)
+        return calls
+
+    @pytest.mark.parametrize("form", [
+        "a*(b*c)",
+        "x*(a3*a2*a1)",
+        "a*(b*(c*(d*(e*(f*g)))))",
+        "[a!,[b!,c]]*[b!,[a,c!]]*b!",
+    ])
+    def test_one_bracket_per_distinct_prefix(self, h3, bracket_calls, form):
+        combo = normalize(parse(form))
+        prefixes = {w.factors[:k] for w, _ in combo.terms for k in range(2, w.length + 1)}
+        env = {n: vector(QQ, [1, i, 2]) for i, n in enumerate("abcdefgx")}
+        env.update({f"a{i}": vector(QQ, [i, 0, 1]) for i in (1, 2, 3)})
+        evaluate(combo, env, h3.algebra)
+        assert len(bracket_calls) == len(prefixes)
+
+    def test_prefixes_shared_across_word_lengths(self, h3, bracket_calls):
+        combo = lincomb({word("a"): 1, word("a", "b"): 2, word("a", "b", "c"): -1,
+                         word("a", "c"): 1, word("b", "a"): 1})
+        env = {"a": vector(QQ, [1, 0, 0]), "b": vector(QQ, [0, 1, 0]),
+               "c": vector(QQ, [1, 1, 1])}
+        expected = self._per_word_fold(combo, env, h3.algebra)
+        bracket_calls.clear()
+        assert evaluate(combo, env, h3.algebra) == expected
+        # prefixes [a,b], [a,b,c], [a,c], [b,a]
+        assert len(bracket_calls) == 4
+        # unsorted terms share less but give the same value
+        shuffled = LinComb(tuple(reversed(combo.terms)))
+        assert evaluate(shuffled, env, h3.algebra) == expected
+
+    @staticmethod
+    def _per_word_fold(combo, env, alg):
+        f = alg.field
+        acc = zero_vector(f, alg.dim)
+        for w, coeff in combo.terms:
+            acc = acc + terms._eval_tree(w.as_tree(), env, alg).scale(f.from_int(coeff))
+        return acc
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_sharing_matches_per_word_fold(self, algebras, data):
+        alg = algebras[data.draw(st.sampled_from(["h3", "l2"]))].algebra
+        combo = normalize(data.draw(trees(max_leaves=7)))
+        names = {leaf.name for w, _ in combo.terms for leaf in w.factors}
+        env = {n: data.draw(vectors(field=QQ, dim=alg.dim)) for n in names}
+        assert evaluate(combo, env, alg) == self._per_word_fold(combo, env, alg)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
