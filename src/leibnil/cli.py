@@ -129,7 +129,7 @@ def cmd_profile(args) -> int:
     bundle = compute_series(b, args.nmax, kmax)
     chain = bk_chain(b, args.nmax)
     profile = profile_from_series(bundle, args.nmax)
-    inclusions = verify_paper_inclusions(b, min(args.nmax, 10), kmax, seed=args.seed)
+    inclusions = verify_paper_inclusions(b, bundle, chain, min(args.nmax, 10), seed=args.seed)
 
     print(f"algebra {alg.name} (dim {alg.dim} over {alg.field!r}), ideal: {ideal_name}")
     rp_dims = bundle.right.dims()

@@ -34,7 +34,6 @@ from .linalg import (
     Vector,
     contains,
     is_subspace_of,
-    span,
     subspace_sum,
 )
 
@@ -417,71 +416,105 @@ def filtration_check(strong: SeriesTable, alg: AlgebraDef) -> InclusionCheck:
                           worst or f"all products up to level {max(level)} respected")
 
 
-def verify_paper_inclusions(b: IdealHandle, n_max: int, k_max: int | None = None,
-                            seed: int = 0, samples: int = 20) -> InclusionReport:
-    """Machine-check the inclusion lemmas on one ideal.
+def _cut(table: SeriesTable, n_max: int) -> SeriesTable:
+    """The table as if computed at n_max: entries past n_max dropped, flags re-read.
 
-    (a) B^n inside ^nB + Es(B); (b) sampled right products of weight n lie in
-    B_n = B^n + Es(B); (c) with B Es_k-right nil, sampled right products of
-    weight >= 2l lie in (B^l).L^k; (d) B^<i> . B^<j> inside B^<i+j>;
-    (e) B^k inside B^{{k}} inside B^<k>. Sampling is seeded; the seed and
-    sample count are part of the report.
+    A table that ran past n_max neither vanished nor repeated a one-step
+    entry before it, so the flags follow from the kept entries alone.
     """
-    alg = b.algebra
-    if k_max is None:
-        k_max = alg.dim + 1
-    rng = Random(seed)
-    checks: list[InclusionCheck] = []
+    entries = tuple((k, s) for k, s in table.entries if k <= n_max)
+    if len(entries) == len(table.entries):
+        return table
+    last = entries[-1][1]
+    stabilized = last == entries[-2][1] and not last.is_zero()
+    return SeriesTable(table.kind, entries, stabilized, last.is_zero())
 
-    es = es_of(b)
-    rp = right_powers(b, n_max)
-    lp = left_powers(b, n_max)
-    gp = general_powers(b, n_max)
-    sf = strong_filtration(b, n_max)
-    chain = bk_chain(b, max(2, n_max))
-    es_right = es_nil_index(b, "right", k_max)
+
+def _inside_power(right: SeriesTable, w: int, target: Subspace) -> bool:
+    """Whether B^w lies in target; False when the table has no sound entry w."""
+    try:
+        return is_subspace_of(right.entry(w), target)
+    except KeyError:
+        return False
+
+
+def verify_paper_inclusions(b: IdealHandle, bundle: SeriesBundle, chain: SeriesTable,
+                            n_max: int, seed: int = 0, samples: int = 20) -> InclusionReport:
+    """Machine-check the inclusion lemmas on one ideal, from its computed series.
+
+    (a) B^n inside ^nB + Es(B); (b) right products of weight n lie in
+    B_n = B^n + Es(B); (c) with B Es_k-right nil, right products of weight
+    >= 2l lie in (B^l).L^k; (d) B^<i> . B^<j> inside B^<i+j>;
+    (e) B^k inside B^{{k}} inside B^<k>. Every table of `bundle` is read as
+    if it had been computed at n_max, which must not exceed the bound the
+    bundle was computed at, and `chain` is the B_k chain.
+
+    Precondition: B is an ideal of a right Leibniz algebra. Then B.L and
+    L.B lie in B, and right multiplication is a derivation,
+    (xy)z = (xz)y + x(yz), so B^k.L lies in B^k by induction on k. Hence a
+    right product with w factors from B, and any others from L, lies in B^w.
+    So (b) holds when B^n lies in B_n, and (c) when B^{2l} lies in
+    (B^l).L^k, for each n and l checked. When all of those inclusions hold,
+    every sampled product lies in its target and nothing is drawn. Otherwise,
+    or when an entry they need was not computed, the products are sampled
+    from Random(seed) in the order (b), then (c), and the counts report
+    which ones escaped. The seed and sample count are part of the report.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    alg = b.algebra
+    rp, lp, gp, sf = (_cut(t, n_max) for t in
+                      (bundle.right, bundle.left, bundle.general, bundle.strong))
+    checks: list[InclusionCheck] = []
 
     # (a) right powers inside left powers + Es(B)
     for n in range(1, n_max + 1):
-        lhs, rhs = rp.entry(n), subspace_sum(lp.entry(n), es)
+        lhs, rhs = rp.entry(n), subspace_sum(lp.entry(n), bundle.es_space)
         ok = is_subspace_of(lhs, rhs)
         checks.append(InclusionCheck(
             f"right_power_{n}_in_left_plus_es", ok,
             f"dim B^{n} = {lhs.dim}, dim (^{n}B + Es) = {rhs.dim}"))
 
-    # (b) sampled right products of weight n lie in B_n
-    for n in range(1, min(3, n_max) + 1):
-        target = chain.entry(n)
-        bad = 0
-        for _ in range(samples):
-            length = rng.randint(n, n + 2)
-            v = _random_right_product(alg, b.space, length, n, rng)
-            if not contains(target, v):
-                bad += 1
-        checks.append(InclusionCheck(
-            f"weight_{n}_right_products_in_chain", bad == 0,
-            f"{samples - bad}/{samples} sampled products inside B_{n}"))
-
-    # (c) high-weight right products land in the k-translated power
-    if es_right.found:
-        k = es_right.k
+    # the targets of (b) and (c), and whether the exact inclusions settle them all
+    chain_targets = [(n, chain.entry(n)) for n in range(1, min(3, n_max) + 1)]
+    translate_targets: list[tuple[int, int, Subspace]] = []
+    if bundle.es_right.found:
+        k = bundle.es_right.k
         for ell in (k, k + 1):
             try:
                 power = rp.entry(ell)
             except KeyError:
                 continue
-            translated = right_translates(power, k, alg).entry(k)
-            bad = 0
-            for _ in range(samples):
-                length = rng.randint(2 * ell, 2 * ell + 2)
-                weight = rng.randint(2 * ell, length)
-                v = _random_right_product(alg, b.space, length, weight, rng)
-                if not contains(translated, v):
-                    bad += 1
-            checks.append(InclusionCheck(
-                f"weight_{2 * ell}_right_products_in_power_{ell}_translate_{k}",
-                bad == 0,
-                f"{samples - bad}/{samples} sampled products inside (B^{ell}).L^{k}"))
+            translate_targets.append((ell, k, right_translates(power, k, alg).entry(k)))
+    exact = all(_inside_power(bundle.right, n, t) for n, t in chain_targets) and \
+        all(_inside_power(bundle.right, 2 * ell, t) for ell, _, t in translate_targets)
+    rng = Random(seed)
+
+    def escaped(target: Subspace, weight: int, weight_varies: bool) -> int:
+        if exact:
+            return 0
+        bad = 0
+        for _ in range(samples):
+            length = rng.randint(weight, weight + 2)
+            w = rng.randint(weight, length) if weight_varies else weight
+            if not contains(target, _random_right_product(alg, b.space, length, w, rng)):
+                bad += 1
+        return bad
+
+    # (b) right products of weight n lie in B_n
+    for n, target in chain_targets:
+        bad = escaped(target, n, weight_varies=False)
+        checks.append(InclusionCheck(
+            f"weight_{n}_right_products_in_chain", bad == 0,
+            f"{samples - bad}/{samples} sampled products inside B_{n}"))
+
+    # (c) high-weight right products land in the k-translated power
+    for ell, k, target in translate_targets:
+        bad = escaped(target, 2 * ell, weight_varies=True)
+        checks.append(InclusionCheck(
+            f"weight_{2 * ell}_right_products_in_power_{ell}_translate_{k}",
+            bad == 0,
+            f"{samples - bad}/{samples} sampled products inside (B^{ell}).L^{k}"))
 
     # (d) filtration levels multiply into their weight sum
     checks.append(filtration_check(sf, alg))

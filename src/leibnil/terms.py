@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .algebra import AlgebraDef, bracket
-from .linalg import Subspace, Vector, contains, zero_vector
+from .linalg import Subspace, Vector, contains
 
 
 @dataclass(frozen=True)
@@ -371,15 +371,16 @@ def evaluate(form: ProductTree | LinComb, assignment: Mapping[str, Vector],
 
     A combination keeps the partial products of the previous word and
     brackets only the factors after the prefix the two words share, so
-    sorted words cost one bracket per distinct prefix. A tree is evaluated
-    node by node, independently of `normalize`, which makes it the oracle
-    for the normal form. With `ideal` given, tagged generators must be
-    assigned vectors inside it.
+    sorted words cost one bracket per distinct prefix, and sums the scaled
+    words into one coordinate list. A tree is evaluated node by node,
+    independently of `normalize`, which makes it the oracle for the normal
+    form. With `ideal` given, tagged generators must be assigned vectors
+    inside it.
     """
     _check_assignment(form, assignment, ideal)
     if isinstance(form, LinComb):
         f = alg.field
-        acc = zero_vector(f, alg.dim)
+        acc = [f.zero] * alg.dim
         prev: tuple[Leaf, ...] = ()
         partial: list[Vector] = []  # partial[i]: value of the first i + 1 factors
         for word, coeff in form.terms:
@@ -393,6 +394,9 @@ def evaluate(form: ProductTree | LinComb, assignment: Mapping[str, Vector],
             for leaf in factors[len(partial):]:
                 partial.append(bracket(partial[-1], assignment[leaf.name], alg))
             prev = factors
-            acc = acc + partial[-1].scale(f.from_int(coeff))
-        return acc
+            c = f.from_int(coeff)
+            for i, a in enumerate(partial[-1].coords):
+                if a:
+                    acc[i] = f.add(acc[i], f.mul(c, a))
+        return Vector(f, tuple(acc))
     return _eval_tree(form, assignment, alg)

@@ -1,4 +1,4 @@
-"""Byte-level golden reports for the bundled fixtures and two generated algebras.
+"""Byte-level golden reports for the bundled fixtures and three generated algebras.
 
 The files under tests/golden were written by `leibnil profile --json` and
 `leibnil check --json`; a refactor that changes any report byte fails here.
@@ -47,6 +47,28 @@ GENERATED = {
 }
 
 
+# NF_5: [e_i, e_1] = e_{i+1}, with p = (3, 5, 1, 4, 2) and s = (1, -1, 1, 1, -1);
+# "tail" is span(e_2..e_5), that is span(f_5, f_1, f_4, f_2).
+NF5_SIGNED = {
+    "name": "nf5_signed", "dim": 5, "field": {"type": "Q"},
+    "constants": [[1, 3, 4, "1"], [3, 3, 5, "-1"], [4, 3, 2, "-1"], [5, 3, 1, "-1"]],
+    "ideals": {"tail": [["0", "0", "0", "0", "1"], ["1", "0", "0", "0", "0"],
+                        ["0", "0", "0", "1", "0"], ["0", "1", "0", "0", "0"]]},
+}
+
+# The inclusion checks read the series at min(nmax, 10). These pin that cut
+# below, at and above 10; l2 at 12 runs check (c), since its Es(B) is right nil.
+CUT_CASES = {
+    **{f"profile_nf5_signed_{ideal}_nmax{nmax}":
+       (NF5_SIGNED, ["--nmax", str(nmax)] + (["--ideal", ideal] if ideal != "full" else []))
+       for ideal in ("full", "tail") for nmax in (2, 3, 10, 11)},
+    **{f"profile_s4_signed_nmax{nmax}":
+       (GENERATED["profile_s4_signed"][0], ["--nmax", str(nmax)]) for nmax in (3, 10)},
+    "profile_a2_nmax12": ("a2", ["--nmax", "12"]),
+    "profile_l2_nmax12": ("l2", ["--nmax", "12"]),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden_bytes(name, tmp_path, capsys):
     command, fixture, *flags = CASES[name]
@@ -65,5 +87,20 @@ def test_generated_profile_matches_golden_bytes(name, tmp_path, capsys):
     out = tmp_path / "report.json"
     capsys.readouterr()
     assert main(["profile", str(path), "--nmax", str(nmax), "--json", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CUT_CASES))
+def test_inclusion_cut_matches_golden_bytes(name, tmp_path, capsys):
+    source, flags = CUT_CASES[name]
+    if isinstance(source, str):
+        path = FIXTURES / f"{source}.json"
+    else:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(source))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["profile", str(path), *flags, "--json", str(out)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -1,4 +1,6 @@
 import ast
+from dataclasses import asdict
+from functools import cache
 from itertools import combinations, product
 from pathlib import Path
 from random import Random
@@ -6,6 +8,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leibnil import series
 from leibnil.algebra import (
     IdealHandle,
     algebra_from_constants,
@@ -17,9 +20,11 @@ from leibnil.algebra import (
     squares_ideal,
     subspace_product,
 )
+from leibnil.cli import main
 from leibnil.fields import GF, QQ
 from leibnil.linalg import (
     Vector,
+    contains,
     is_subspace_of,
     span,
     subspace_sum,
@@ -31,9 +36,12 @@ from leibnil.search import sparse_tensors_sampled
 from leibnil.series import (
     FOUND,
     ChainVerificationError,
+    InclusionCheck,
+    InclusionReport,
     NEVER,
     UNDETERMINED,
     SeriesKind,
+    _random_right_product,
     bk_chain,
     compute_series,
     es_nil_index,
@@ -51,7 +59,7 @@ from leibnil.series import (
     verify_paper_inclusions,
 )
 
-from .conftest import FIXTURE_NAMES
+from .conftest import FIXTURE_NAMES, FIXTURES
 from .strategies import subspaces
 
 
@@ -161,6 +169,137 @@ def valid_gf3_tensors(count):
             if len(found) == count:
                 return found
     raise AssertionError(f"only {len(found)} valid tensors in the sample")
+
+
+def strictly_upper_tensors(dim, p, rng):
+    """Seeded sparse tensors with [e_i, e_j] in span(e_k : k > max(i, j)): nilpotent ones."""
+    positions = [(i, j, k) for i in range(1, dim + 1) for j in range(1, dim + 1)
+                 for k in range(max(i, j) + 1, dim + 1)]
+    while True:
+        combo = sorted(rng.sample(positions, rng.randint(1, min(6, len(positions)))))
+        yield tuple((i, j, k, rng.randrange(1, p)) for i, j, k in combo)
+
+
+@cache
+def sampled_right_leibniz():
+    """Valid right Leibniz algebras of dim 2-4 over Q, GF(3) and GF(5).
+
+    Per field and dimension, six from seeded sparse tensors with up to four
+    nonzero constants and six strictly upper ones with up to six, which
+    reach deeper right indices and Es_k indices k > 1; over Q the values 1
+    and 2 of a GF(3) sample become 1 and -1. Algebras with L.L = 0 are left
+    out.
+    """
+    found = []
+    for field, p in ((QQ, 3), (GF(3), 3), (GF(5), 5)):
+        for dim in (2, 3, 4):
+            rng = Random(dim * p)
+            for source in (sparse_tensors_sampled(dim, p, 4000, rng, max_nonzero=4),
+                           strictly_upper_tensors(dim, p, rng)):
+                kept = 0
+                for constants in source:
+                    if field is QQ:
+                        constants = [(i, j, k, QQ.from_int(1 if v == 1 else -1))
+                                     for i, j, k, v in constants]
+                    alg = algebra_from_constants(str(constants), dim, field, list(constants))
+                    if is_right_leibniz(alg) and not subspace_product(
+                            alg.full_space(), alg.full_space(), alg).is_zero():
+                        found.append(alg)
+                        kept += 1
+                        if kept == 6:
+                            break
+    return found
+
+
+def sampled_ideal(alg, which):
+    """B = L, the squares ideal, or L^2."""
+    if which == "full":
+        return full_ideal(alg)
+    if which == "squares":
+        return squares_ideal(alg)
+    return IdealHandle(alg, subspace_product(alg.full_space(), alg.full_space(), alg))
+
+
+sampled_ideals = st.tuples(st.deferred(lambda: st.sampled_from(sampled_right_leibniz())),
+                           st.sampled_from(["full", "squares", "square"])).map(
+    lambda pair: sampled_ideal(*pair))
+
+
+def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=None):
+    """The inclusion report with every check (b) and (c) decided by sampling.
+
+    Every table is recomputed at n_max; `chain` replaces the B_k chain.
+    """
+    alg = b.algebra
+    if k_max is None:
+        k_max = alg.dim + 1
+    rng = Random(seed)
+    checks = []
+
+    es = es_of(b)
+    rp = right_powers(b, n_max)
+    lp = left_powers(b, n_max)
+    gp = general_powers(b, n_max)
+    sf = strong_filtration(b, n_max)
+    if chain is None:
+        chain = bk_chain(b, max(2, n_max))
+    es_right = es_nil_index(b, "right", k_max)
+
+    for n in range(1, n_max + 1):
+        lhs, rhs = rp.entry(n), subspace_sum(lp.entry(n), es)
+        ok = is_subspace_of(lhs, rhs)
+        checks.append(InclusionCheck(
+            f"right_power_{n}_in_left_plus_es", ok,
+            f"dim B^{n} = {lhs.dim}, dim (^{n}B + Es) = {rhs.dim}"))
+
+    for n in range(1, min(3, n_max) + 1):
+        target = chain.entry(n)
+        bad = 0
+        for _ in range(samples):
+            length = rng.randint(n, n + 2)
+            v = _random_right_product(alg, b.space, length, n, rng)
+            if not contains(target, v):
+                bad += 1
+        checks.append(InclusionCheck(
+            f"weight_{n}_right_products_in_chain", bad == 0,
+            f"{samples - bad}/{samples} sampled products inside B_{n}"))
+
+    if es_right.found:
+        k = es_right.k
+        for ell in (k, k + 1):
+            try:
+                power = rp.entry(ell)
+            except KeyError:
+                continue
+            translated = right_translates(power, k, alg).entry(k)
+            bad = 0
+            for _ in range(samples):
+                length = rng.randint(2 * ell, 2 * ell + 2)
+                weight = rng.randint(2 * ell, length)
+                v = _random_right_product(alg, b.space, length, weight, rng)
+                if not contains(translated, v):
+                    bad += 1
+            checks.append(InclusionCheck(
+                f"weight_{2 * ell}_right_products_in_power_{ell}_translate_{k}",
+                bad == 0,
+                f"{samples - bad}/{samples} sampled products inside (B^{ell}).L^{k}"))
+
+    checks.append(filtration_check(sf, alg))
+
+    for k in range(1, n_max + 1):
+        bp, gk, wk = rp.entry(k), gp.entry(k), sf.entry(k)
+        ok = is_subspace_of(bp, gk) and is_subspace_of(gk, wk)
+        checks.append(InclusionCheck(
+            f"power_sandwich_{k}", ok,
+            f"dims {bp.dim} <= {gk.dim} <= {wk.dim}"))
+
+    return InclusionReport(seed, samples, tuple(checks))
+
+
+def assert_same_report(report, oracle):
+    assert report == oracle
+    assert asdict(report) == asdict(oracle)
+    assert report.ok == oracle.ok
 
 
 class TestRightPowers:
@@ -412,7 +551,8 @@ class TestInclusionChecks:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_full_ideal_inclusions_pass(self, algebras, name):
         b = full_ideal(algebras[name].algebra)
-        report = verify_paper_inclusions(b, 8, seed=7, samples=10)
+        report = verify_paper_inclusions(b, compute_series(b, 8), bk_chain(b, 8), 8,
+                                         seed=7, samples=10)
         assert report.ok, [c for c in report.checks if not c.passed]
 
     def test_named_ideal_inclusions_pass(self, algebras):
@@ -420,7 +560,8 @@ class TestInclusionChecks:
             loaded = algebras[name]
             for space in loaded.ideals.values():
                 b = IdealHandle(loaded.algebra, space)
-                report = verify_paper_inclusions(b, 6, seed=3, samples=6)
+                report = verify_paper_inclusions(b, compute_series(b, 6), bk_chain(b, 6), 6,
+                                                 seed=3, samples=6)
                 assert report.ok, (name, [c for c in report.checks if not c.passed])
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -428,13 +569,119 @@ class TestInclusionChecks:
         b = full_ideal(algebras[name].algebra)
         check = filtration_check(strong_filtration(b, 8), b.algebra)
         assert check.passed
-        assert check in verify_paper_inclusions(b, 8).checks
+        assert check in verify_paper_inclusions(
+            b, compute_series(b, 8), bk_chain(b, 8), 8).checks
 
     def test_report_is_seed_deterministic(self, l2):
         b = full_ideal(l2.algebra)
-        first = verify_paper_inclusions(b, 6, seed=11, samples=8)
-        second = verify_paper_inclusions(b, 6, seed=11, samples=8)
+        bundle, chain = compute_series(b, 6), bk_chain(b, 6)
+        first = verify_paper_inclusions(b, bundle, chain, 6, seed=11, samples=8)
+        second = verify_paper_inclusions(b, bundle, chain, 6, seed=11, samples=8)
         assert first == second
+
+
+class TestExactInclusions:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("n_max", [2, 3, 10, 12])
+    def test_fixtures_and_named_ideals_match_sampling(self, algebras, name, n_max):
+        loaded = algebras[name]
+        for space in [loaded.algebra.full_space(), *loaded.ideals.values()]:
+            b = IdealHandle(loaded.algebra, space)
+            for nmax in (n_max, 64):
+                report = verify_paper_inclusions(
+                    b, compute_series(b, nmax), bk_chain(b, nmax), min(n_max, 10), seed=5)
+                assert_same_report(report, sampled_inclusion_report(b, min(n_max, 10), seed=5))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n_max", [2, 3, 4])
+    def test_cut_hides_powers_past_n_max(self, n, n_max):
+        # NF_n: [e_i, e_1] = e_{i+1}. Its right powers vanish at n + 1 and its
+        # Es(L) is Es_{n-1}-right nil, so check (c) asks for B^l past n_max:
+        # computed at n_max that entry is missing and the check is skipped.
+        alg = algebra_from_constants(f"NF{n}", n, QQ,
+                                     [(i, 1, i + 1, QQ.one) for i in range(1, n)])
+        b = full_ideal(alg)
+        report = verify_paper_inclusions(b, compute_series(b, 12), bk_chain(b, 12), n_max,
+                                         seed=n, samples=4)
+        assert_same_report(report, sampled_inclusion_report(b, n_max, seed=n, samples=4))
+
+    @given(sampled_ideals, st.integers(2, 12), st.integers(0, 4),
+           st.integers(0, 2 ** 16), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_tensors_match_sampling(self, b, n_max, extra, seed, samples):
+        # the bundle may run past n_max, as a profile's does past 10
+        nmax = n_max + extra
+        report = verify_paper_inclusions(b, compute_series(b, nmax), bk_chain(b, nmax),
+                                         n_max, seed=seed, samples=samples)
+        assert_same_report(report, sampled_inclusion_report(b, n_max, seed=seed,
+                                                            samples=samples))
+
+    @given(sampled_ideals, st.integers(0, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_right_products_lie_in_their_power(self, b, length, data):
+        """A right product with w factors from B lies in B^w.
+
+        B is an ideal, so B.L and L.B lie in B. Right multiplication by z is
+        a derivation of a right Leibniz algebra: (xy)z = (xz)y + x(yz). So if
+        B^k.L lies in B^k, then B^{k+1}.L = (B^k.B).L lies in
+        (B^k.L).B + B^k.(B.L), which lies in B^k.B = B^{k+1}; with B.L in B
+        this gives B^k.L inside B^k for every k. Now read a right product
+        f_0 f_1 ... f_{m-1} left to right. The product so far lies in B^j,
+        where j counts the factors from B read so far (B^0 = L): a factor
+        from B takes B^j to B^j.B = B^{j+1}, and a factor from L keeps it in
+        B^j.L, inside B^j. A first factor from B starts at B^1 = B.
+        """
+        length += 1
+        weight = data.draw(st.integers(0, length))
+        rng = Random(data.draw(st.integers(0, 2 ** 16)))
+        v = _random_right_product(b.algebra, b.space, length, weight, rng)
+        assert contains(right_powers(b, max(weight, 1)).entry(weight), v)
+
+    @pytest.fixture
+    def product_calls(self, monkeypatch):
+        calls = []
+        real = series._random_right_product
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(series, "_random_right_product", counting)
+        return calls
+
+    def test_failed_chain_inclusion_replays_the_sampling(self, l2, shrunken_chain,
+                                                          product_calls):
+        b = full_ideal(l2.algebra)
+        report = verify_paper_inclusions(b, compute_series(b, 6), shrunken_chain, 6,
+                                         seed=13, samples=9)
+        # three checks (b) and, with Es(L) Es_1-right nil, two checks (c)
+        assert len(product_calls) == 5 * 9
+        assert not report.ok
+        assert_same_report(report, sampled_inclusion_report(b, 6, seed=13, samples=9,
+                                                            chain=shrunken_chain))
+
+    def test_failed_translate_inclusion_replays_the_sampling(self, nf3_bundle_without_zero,
+                                                              product_calls):
+        b, bundle = nf3_bundle_without_zero
+        report = verify_paper_inclusions(b, bundle, bk_chain(b, 8), 3, seed=2, samples=7)
+        # three checks (b) and the checks (c) for l = 2, 3
+        assert len(product_calls) == 5 * 7
+        assert report.ok
+        assert_same_report(report, sampled_inclusion_report(b, 3, seed=2, samples=7))
+
+    @pytest.mark.parametrize("argv", [
+        ["l2", "--nmax", "12"],
+        ["a2", "--nmax", "12"],
+        ["h3", "--nmax", "64", "--seed", "7"],
+        ["h3", "--ideal", "center", "--nmax", "10"],
+    ])
+    def test_passing_profile_draws_nothing(self, argv, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a passing profile sampled a product")
+
+        monkeypatch.setattr(series, "_random_right_product", refuse)
+        assert main(["profile", str(FIXTURES / f"{argv[0]}.json"), *argv[1:]]) == 0
+        assert "inclusion checks" in capsys.readouterr().out
 
 
 class TestProfiles:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibnil import terms
-from leibnil.algebra import full_ideal
+from leibnil.algebra import algebra_from_constants, full_ideal
 from leibnil.fields import QQ
 from leibnil.linalg import vector, zero_vector
 from leibnil.terms import (
@@ -63,6 +63,16 @@ def rewrite_normal_form(t):
         stack.append((coeff, plus))
         stack.append((-coeff, minus))
     return lincomb(acc)
+
+
+def nf6_sl2():
+    """NF_6 plus an sl_2 summand (dim 9 over Q): deep products that do not all vanish."""
+    constants = [(i, 1, i + 1, QQ.one) for i in range(1, 6)]
+    h, e, f = 7, 8, 9
+    constants += [(h, e, e, QQ.from_int(2)), (e, h, e, QQ.from_int(-2)),
+                  (h, f, f, QQ.from_int(-2)), (f, h, f, QQ.from_int(2)),
+                  (e, f, h, QQ.one), (f, e, h, QQ.from_int(-1))]
+    return algebra_from_constants("NF6+sl2", 9, QQ, constants)
 
 
 def word(*labels):
@@ -370,6 +380,23 @@ class TestEvaluate:
         combo = normalize(data.draw(trees(max_leaves=7)))
         names = {leaf.name for w, _ in combo.terms for leaf in w.factors}
         env = {n: data.draw(vectors(field=QQ, dim=alg.dim)) for n in names}
+        assert evaluate(combo, env, alg) == self._per_word_fold(combo, env, alg)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_coordinate_sum_matches_vector_fold(self, algebras, data):
+        # hand-built combinations: repeated and unsorted words, zero coefficients
+        # and zero coordinates, which a normalized LinComb never holds all of
+        name = data.draw(st.sampled_from(["h3", "l2", "NF6+sl2"]))
+        alg = nf6_sl2() if name == "NF6+sl2" else algebras[name].algebra
+        words = st.lists(st.sampled_from("abc"), min_size=1, max_size=6).map(
+            lambda labels: word(*labels))
+        terms_ = data.draw(st.lists(st.tuples(words, st.integers(-3, 3)),
+                                    min_size=1, max_size=8))
+        combo = LinComb(tuple(terms_ + terms_[:data.draw(st.integers(0, len(terms_)))]))
+        zero = zero_vector(QQ, alg.dim)
+        env = {n: data.draw(st.one_of(st.just(zero), vectors(field=QQ, dim=alg.dim)))
+               for n in "abc"}
         assert evaluate(combo, env, alg) == self._per_word_fold(combo, env, alg)
 
     @given(st.data())
