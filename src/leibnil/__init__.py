@@ -44,14 +44,12 @@ from .series import (
     bk_chain,
     compute_series,
     es_nil_index,
-    general_powers,
     index_bound,
     left_powers,
     left_translates,
     nilpotency_profile,
     right_powers,
     right_translates,
-    strong_filtration,
     verify_paper_inclusions,
 )
 from .terms import (

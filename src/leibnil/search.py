@@ -21,14 +21,12 @@ from .series import (
     UNDETERMINED,
     compute_series,
     filtration_check,
-    index_bound,
     profile_from_series,
-    right_powers,
 )
 
 Constants = tuple[tuple[int, int, int, int], ...]
 
-# series depth for every candidate, raised to the bound once a right index is known
+# least series depth for a candidate; the series of L stop by index dim+1 anyway
 MIN_NMAX = 6
 # left-but-not-right nilpotent tensors listed in a report
 MAX_EXAMPLES = 5
@@ -68,11 +66,9 @@ def analyze_candidate(constants: Constants, field: PrimeField, dim: int) -> dict
     if not is_right_leibniz(alg):
         return None
     b = full_ideal(alg)
-    # the right powers of L decrease, so they stop by index dim+1
-    n = right_powers(b, dim + 2).first_zero_index()
+    # the right and left powers of L decrease, so they stop at zero or a fixed
+    # point by index dim+1, and every verdict below is settled by then
     n_max = max(MIN_NMAX, dim + 2)
-    if n is not None:
-        n_max = max(n_max, index_bound(n))
     try:
         bundle = compute_series(b, n_max)
         profile = profile_from_series(bundle, n_max)

@@ -1,17 +1,36 @@
 """Nilpotency series and the executable form of the index bound.
 
-Four series are computed for an ideal B of an algebra L:
+Four series are read for an ideal B of an algebra L:
 
 * right powers      B^1 = B, B^{n+1} = B^n . B
 * left powers       ^1B = B, ^{1+n}B = B . ^nB
-* general powers    B^{{n}} = sum of B^{{i}} . B^{{j}} over i+j = n
+* general powers    B^{{n}}, spanned by the length-n products of elements of B
+  under every bracketing
 * strong filtration B^<n>, spanned by all products of elements of L with at
-  least n factors in B, computed as a least fixpoint over weight levels
+  least n factors in B
 
-plus the translate series D . L^k and L^k . D, the chain B_k = B^k + Es(B),
-and a battery of inclusion checks. Negative verdicts are reported as
-definitive only when they come from a genuine fixed point, never from an
-exhausted bound.
+Only the first two are computed. For an ideal B of a right Leibniz algebra
+B^<m> = B^{{m}} = B^m for every m, so the general and strong tables are read
+off the right powers:
+
+* Any product is an integer combination of right words over the same leaves
+  (Loday-Pirashvili), so B^<m> is spanned by right words with at least m
+  factors in B.
+* Right multiplication is a derivation, (xy)z = (xz)y + x(yz), so B^k . L
+  lies in B^k by induction on k, and L . B lies in B. Reading a right word
+  left to right, a factor from B raises the power by one and a factor from L
+  keeps it, so a right word with w factors in B lies in B^w.
+* Hence B^<m> lies in B^m, which lies in B^{{m}}, which lies in B^<m>.
+
+So the strong, general and right indices are equal, the strong-index bound
+4n^2 - 2n + 1 holds whenever the right index n exists, and a violated bound,
+a broken index sandwich or a failed inclusion check (d) or (e) would mean a
+bug, not a counterexample.
+
+Beside these come the translate series D . L^k and L^k . D, the chain
+B_k = B^k + Es(B), and a battery of inclusion checks. Negative verdicts are
+reported as definitive only when they come from a genuine fixed point, never
+from an exhausted bound.
 """
 
 from __future__ import annotations
@@ -119,39 +138,6 @@ def _product_series(kind: SeriesKind, head: list[tuple[int, Subspace]],
     return SeriesTable(kind, tuple(entries), stabilized, terminated_zero)
 
 
-class _Products:
-    """Interned subspaces with memoized products and inclusions, for one computation.
-
-    Equal subspaces become one object, so every memo lookup after the first
-    is a cached hash and an identity test. Products and inclusion tests are
-    called through their module-level names, so a wrapper installed on
-    those names still sees each one computed.
-    """
-
-    def __init__(self, alg: AlgebraDef) -> None:
-        self.alg = alg
-        self._interned: dict[Subspace, Subspace] = {}
-        self._products: dict[tuple[Subspace, Subspace], Subspace] = {}
-        self._inside: dict[tuple[Subspace, Subspace], bool] = {}
-
-    def intern(self, s: Subspace) -> Subspace:
-        return self._interned.setdefault(s, s)
-
-    def product(self, u: Subspace, v: Subspace) -> Subspace:
-        """u . v for interned u and v, itself interned."""
-        p = self._products.get((u, v))
-        if p is None:
-            p = self._products[u, v] = self.intern(subspace_product(u, v, self.alg))
-        return p
-
-    def inside(self, u: Subspace, w: Subspace) -> bool:
-        """Whether u lies in w, for interned u and w."""
-        inside = self._inside.get((u, w))
-        if inside is None:
-            inside = self._inside[u, w] = is_subspace_of(u, w)
-        return inside
-
-
 def right_powers(b: IdealHandle, n_max: int) -> SeriesTable:
     """B^0 = L, B^1 = B, B^{n+1} = B^n . B, stopping early at zero or a fixed point."""
     alg = b.algebra
@@ -164,89 +150,6 @@ def left_powers(b: IdealHandle, n_max: int) -> SeriesTable:
     alg = b.algebra
     return _product_series(SeriesKind.LEFT_POWERS, [(0, alg.full_space()), (1, b.space)],
                            b.space, n_max, alg, multiply_on_right=False)
-
-
-def general_powers(b: IdealHandle, n_max: int) -> SeriesTable:
-    """Spans of length-n products under arbitrary bracketing.
-
-    A length-n product splits uniquely at its top node, so the exact
-    recurrence B^{{n}} = sum over i+j=n of B^{{i}} . B^{{j}} needs no
-    fixpoint. For an ideal the chain decreases, so zero is absorbing and the
-    loop may stop there; a nonzero repeat is recorded as stabilized but is
-    not treated as definitive.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    alg = b.algebra
-    ops = _Products(alg)
-    levels: dict[int, Subspace] = {1: ops.intern(b.space)}
-    entries: list[tuple[int, Subspace]] = [(1, b.space)]
-    terminated_zero = b.space.is_zero()
-    n = 1
-    while not terminated_zero and n < n_max:
-        n += 1
-        acc = alg.zero_space()
-        # equal levels give equal products; the sum needs each distinct one once
-        for p in dict.fromkeys(ops.product(levels[i], levels[n - i]) for i in range(1, n)):
-            acc = subspace_sum(acc, p)
-        acc = levels[n] = ops.intern(acc)
-        entries.append((n, acc))
-        terminated_zero = acc.is_zero()
-    stabilized = len(entries) >= 2 and entries[-1][1] == entries[-2][1] \
-        and not terminated_zero
-    return SeriesTable(SeriesKind.GENERAL_POWERS, tuple(entries), stabilized,
-                       terminated_zero)
-
-
-def strong_filtration(b: IdealHandle, n_max: int) -> SeriesTable:
-    """Weight filtration B^<m> as a simultaneous least fixpoint.
-
-    Levels 0..n_max start at (L, B, 0, ..., 0) and absorb every product
-    W_i . W_j into level min(i+j, n_max) until nothing changes; capping the
-    target level is sound because the true filtration is decreasing. The
-    fixpoint exit condition is precisely W_i . W_j inside W_{i+j} for all
-    computed pairs. Dimensions only grow, so the round cap below cannot be
-    hit without a bug.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    alg = b.algebra
-    ops = _Products(alg)
-    w: list[Subspace] = [ops.intern(alg.full_space()), ops.intern(b.space)] + \
-        [ops.intern(alg.zero_space())] * (n_max - 1)
-    for _ in range(n_max * alg.dim + 2):
-        changed = False
-        for i in range(n_max + 1):
-            if w[i].is_zero():
-                continue
-            for j in range(n_max + 1):
-                if (i == 0 and j == 0) or w[j].is_zero():
-                    continue
-                p = ops.product(w[i], w[j])
-                if p.is_zero():
-                    continue
-                t = min(i + j, n_max)
-                if not ops.inside(p, w[t]):
-                    w[t] = ops.intern(subspace_sum(w[t], p))
-                    changed = True
-        if not changed:
-            break
-    else:
-        raise ChainVerificationError("strong filtration failed to stabilize within its round cap")
-    for m in range(1, n_max + 1):
-        if not is_subspace_of(w[m], w[m - 1]):
-            raise ChainVerificationError("strong filtration is not decreasing")
-    entries: list[tuple[int, Subspace]] = []
-    terminated_zero = False
-    for m in range(1, n_max + 1):
-        entries.append((m, w[m]))
-        if w[m].is_zero():
-            terminated_zero = True
-            break
-    stabilized = len(entries) >= 2 and entries[-1][1] == entries[-2][1] \
-        and not terminated_zero
-    return SeriesTable(SeriesKind.STRONG_FILTRATION, tuple(entries), stabilized,
-                       terminated_zero)
 
 
 def right_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
@@ -394,11 +297,10 @@ def filtration_check(strong: SeriesTable, alg: AlgebraDef) -> InclusionCheck:
     """Inclusion check (d): B^<i> . B^<j> inside B^<i+j> for the computed levels.
 
     Level 0 is L. A pair whose target level lies past the table's sound range
-    is skipped.
+    is skipped. Equal levels give equal products, so each is computed once.
     """
-    ops = _Products(alg)
-    level = {0: ops.intern(alg.full_space())}
-    level.update({m: ops.intern(s) for m, s in strong.entries})
+    level = {0: alg.full_space(), **dict(strong.entries)}
+    products: dict[tuple[Subspace, Subspace], Subspace] = {}
     ok = True
     worst = ""
     for i, left in level.items():
@@ -406,10 +308,13 @@ def filtration_check(strong: SeriesTable, alg: AlgebraDef) -> InclusionCheck:
             if i == 0 and j == 0:
                 continue
             try:
-                target = ops.intern(strong.entry(i + j))
+                target = strong.entry(i + j)
             except KeyError:
                 continue
-            if not ops.inside(ops.product(left, right), target):
+            p = products.get((left, right))
+            if p is None:
+                p = products[left, right] = subspace_product(left, right, alg)
+            if not is_subspace_of(p, target):
                 ok = False
                 worst = f"B^<{i}> . B^<{j}> escapes B^<{i + j}>"
     return InclusionCheck("filtration_products_respect_weight", ok,
@@ -467,9 +372,14 @@ def verify_paper_inclusions(b: IdealHandle, bundle: SeriesBundle, chain: SeriesT
                       (bundle.right, bundle.left, bundle.general, bundle.strong))
     checks: list[InclusionCheck] = []
 
-    # (a) right powers inside left powers + Es(B)
+    # (a) right powers inside left powers + Es(B), one sum per distinct left power
+    plus_es: dict[Subspace, Subspace] = {}
     for n in range(1, n_max + 1):
-        lhs, rhs = rp.entry(n), subspace_sum(lp.entry(n), bundle.es_space)
+        left = lp.entry(n)
+        rhs = plus_es.get(left)
+        if rhs is None:
+            rhs = plus_es[left] = subspace_sum(left, bundle.es_space)
+        lhs = rp.entry(n)
         ok = is_subspace_of(lhs, rhs)
         checks.append(InclusionCheck(
             f"right_power_{n}_in_left_plus_es", ok,
@@ -541,15 +451,38 @@ class SeriesBundle:
     es_left: EsNilVerdict
 
 
+def _weight_table(kind: SeriesKind, right: SeriesTable, n_max: int) -> SeriesTable:
+    """Levels 1..n_max of the general or strong table, read off the right powers.
+
+    They equal B^m by the lemma in the module docstring. The table stops at
+    the first zero level; a nonzero repeat at the end is flagged stabilized.
+    """
+    entries: list[tuple[int, Subspace]] = []
+    for m in range(1, n_max + 1):
+        entries.append((m, right.entry(m)))
+        if entries[-1][1].is_zero():
+            break
+    terminated_zero = entries[-1][1].is_zero()
+    stabilized = len(entries) >= 2 and entries[-1][1] == entries[-2][1] \
+        and not terminated_zero
+    return SeriesTable(kind, tuple(entries), stabilized, terminated_zero)
+
+
 def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> SeriesBundle:
-    """The series tables and Es translate verdicts a profile reads, for one ideal."""
+    """The series tables and Es translate verdicts a profile reads, for one ideal.
+
+    Precondition: L is right Leibniz and B is an ideal of it. The general and
+    strong tables are then the right powers (see the module docstring); on
+    any other input they are not the series their names say.
+    """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    right = right_powers(b, n_max)
     return SeriesBundle(
-        right=right_powers(b, n_max),
+        right=right,
         left=left_powers(b, n_max),
-        general=general_powers(b, n_max),
-        strong=strong_filtration(b, n_max),
+        general=_weight_table(SeriesKind.GENERAL_POWERS, right, n_max),
+        strong=_weight_table(SeriesKind.STRONG_FILTRATION, right, n_max),
         es_space=es_of(b),
         es_right=es_nil_index(b, "right", k_max),
         es_left=es_nil_index(b, "left", k_max),
@@ -650,7 +583,8 @@ def profile_from_series(bundle: SeriesBundle, n_max: int) -> NilpotencyProfile:
 def nilpotency_profile(b: IdealHandle, n_max: int, k_max: int | None = None) -> NilpotencyProfile:
     """Assemble every index, the Es verdicts and the bound check for one ideal.
 
-    When a right index n is found, n_max should be at least 4n^2 - 2n + 1 for
-    the bound check to be decidable; otherwise it reports undetermined.
+    Precondition: L is right Leibniz and B is an ideal of it, as for
+    compute_series. Then the strong index is the right index, so a found
+    right index settles the bound check at any n_max.
     """
     return profile_from_series(compute_series(b, n_max, k_max), n_max)

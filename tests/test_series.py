@@ -13,7 +13,6 @@ from leibnil.algebra import (
     IdealHandle,
     algebra_from_constants,
     bracket,
-    es_of,
     full_ideal,
     ideal_closure,
     is_right_leibniz,
@@ -36,8 +35,6 @@ from leibnil.search import sparse_tensors_sampled
 from leibnil.series import (
     FOUND,
     ChainVerificationError,
-    InclusionCheck,
-    InclusionReport,
     NEVER,
     UNDETERMINED,
     SeriesKind,
@@ -46,7 +43,6 @@ from leibnil.series import (
     compute_series,
     es_nil_index,
     filtration_check,
-    general_powers,
     index_bound,
     left_powers,
     left_translates,
@@ -55,12 +51,12 @@ from leibnil.series import (
     random_vector_in,
     right_powers,
     right_translates,
-    strong_filtration,
     verify_paper_inclusions,
 )
 
 from .conftest import FIXTURE_NAMES, FIXTURES
-from .strategies import subspaces
+from .oracles import general_powers, sampled_inclusion_report, strong_filtration
+from .strategies import subspaces, vectors
 
 
 def qvec(*coords):
@@ -159,6 +155,16 @@ def signed_relabel(constants, dim, rng):
             for i, j, k, c in constants]
 
 
+def family(name, n):
+    """Signed relabelled NF_n ([e_i, e_1] = e_{i+1}) or S_n ([e_i, e_1] = e_i, i >= 2)."""
+    if name == "NF":
+        constants = [(i, 1, i + 1, 1) for i in range(1, n)]
+    else:
+        constants = [(i, 1, i, 1) for i in range(2, n + 1)]
+    return algebra_from_constants(f"{name}{n}", n, QQ,
+                                  signed_relabel(constants, n, Random(n)))
+
+
 def valid_gf3_tensors(count):
     """The first `count` right Leibniz algebras among seeded dim-3 GF(3) samples."""
     found = []
@@ -223,77 +229,6 @@ def sampled_ideal(alg, which):
 sampled_ideals = st.tuples(st.deferred(lambda: st.sampled_from(sampled_right_leibniz())),
                            st.sampled_from(["full", "squares", "square"])).map(
     lambda pair: sampled_ideal(*pair))
-
-
-def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=None):
-    """The inclusion report with every check (b) and (c) decided by sampling.
-
-    Every table is recomputed at n_max; `chain` replaces the B_k chain.
-    """
-    alg = b.algebra
-    if k_max is None:
-        k_max = alg.dim + 1
-    rng = Random(seed)
-    checks = []
-
-    es = es_of(b)
-    rp = right_powers(b, n_max)
-    lp = left_powers(b, n_max)
-    gp = general_powers(b, n_max)
-    sf = strong_filtration(b, n_max)
-    if chain is None:
-        chain = bk_chain(b, max(2, n_max))
-    es_right = es_nil_index(b, "right", k_max)
-
-    for n in range(1, n_max + 1):
-        lhs, rhs = rp.entry(n), subspace_sum(lp.entry(n), es)
-        ok = is_subspace_of(lhs, rhs)
-        checks.append(InclusionCheck(
-            f"right_power_{n}_in_left_plus_es", ok,
-            f"dim B^{n} = {lhs.dim}, dim (^{n}B + Es) = {rhs.dim}"))
-
-    for n in range(1, min(3, n_max) + 1):
-        target = chain.entry(n)
-        bad = 0
-        for _ in range(samples):
-            length = rng.randint(n, n + 2)
-            v = _random_right_product(alg, b.space, length, n, rng)
-            if not contains(target, v):
-                bad += 1
-        checks.append(InclusionCheck(
-            f"weight_{n}_right_products_in_chain", bad == 0,
-            f"{samples - bad}/{samples} sampled products inside B_{n}"))
-
-    if es_right.found:
-        k = es_right.k
-        for ell in (k, k + 1):
-            try:
-                power = rp.entry(ell)
-            except KeyError:
-                continue
-            translated = right_translates(power, k, alg).entry(k)
-            bad = 0
-            for _ in range(samples):
-                length = rng.randint(2 * ell, 2 * ell + 2)
-                weight = rng.randint(2 * ell, length)
-                v = _random_right_product(alg, b.space, length, weight, rng)
-                if not contains(translated, v):
-                    bad += 1
-            checks.append(InclusionCheck(
-                f"weight_{2 * ell}_right_products_in_power_{ell}_translate_{k}",
-                bad == 0,
-                f"{samples - bad}/{samples} sampled products inside (B^{ell}).L^{k}"))
-
-    checks.append(filtration_check(sf, alg))
-
-    for k in range(1, n_max + 1):
-        bp, gk, wk = rp.entry(k), gp.entry(k), sf.entry(k)
-        ok = is_subspace_of(bp, gk) and is_subspace_of(gk, wk)
-        checks.append(InclusionCheck(
-            f"power_sandwich_{k}", ok,
-            f"dims {bp.dim} <= {gk.dim} <= {wk.dim}"))
-
-    return InclusionReport(seed, samples, tuple(checks))
 
 
 def assert_same_report(report, oracle):
@@ -410,9 +345,8 @@ class TestStrongFiltration:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_never_path_matches_graded_recurrence(self, n):
-        # S_n: [e_i, e_1] = e_i for i >= 2; its levels freeze at a nonzero ideal
-        constants = signed_relabel([(i, 1, i, 1) for i in range(2, n + 1)], n, Random(n))
-        alg = algebra_from_constants(f"S{n}", n, QQ, constants)
+        # S_n: its levels freeze at a nonzero ideal
+        alg = family("S", n)
         b = full_ideal(alg)
         assert strong_filtration(b, 12).stabilized
         self.assert_matches_graded_recurrence(b)
@@ -428,6 +362,78 @@ class TestStrongFiltration:
         table = strong_filtration(b, 5)
         assert table.first_zero_index() == 2
         assert table.entry(2) == oracle_strong_level(b, 2, 3)
+
+
+@st.composite
+def lemma_ideals(draw):
+    """B = L, the squares ideal, L^k or ^kL for k = 2, 3, or the closure of a random vector."""
+    alg = draw(st.sampled_from(sampled_right_leibniz()))
+    which = draw(st.sampled_from(["full", "squares", "right", "left", "closure"]))
+    if which == "full":
+        return full_ideal(alg)
+    if which == "squares":
+        return squares_ideal(alg)
+    if which == "closure":
+        v = draw(vectors(field=alg.field, dim=alg.dim))
+        return ideal_closure(span([v], alg.dim, alg.field), alg)
+    k = draw(st.sampled_from([2, 3]))
+    powers = right_powers if which == "right" else left_powers
+    return IdealHandle(alg, powers(full_ideal(alg), k).entry(k))
+
+
+class TestWeightTables:
+    @given(lemma_ideals())
+    @settings(max_examples=120, deadline=None)
+    def test_general_and_strong_levels_are_the_right_powers(self, b):
+        """B^<m> = B^{{m}} = B^m for every ideal B of a right Leibniz algebra.
+
+        Every product of elements of L is an integer combination of right
+        words over the same factors (Loday-Pirashvili), so B^<m> is spanned
+        by right words with at least m factors from B. Right multiplication
+        by z is a derivation, (xy)z = (xz)y + x(yz); with B.L and L.B inside
+        B this gives B^k.L inside B^k by induction on k. Reading a right word
+        left to right, a factor from B takes B^j to B^{j+1} and a factor from
+        L keeps B^j, so a right word with w factors from B lies in B^w. Hence
+        B^<m> lies in B^m. A right word of length m over B is one bracketing
+        of a length-m product, so B^m lies in B^{{m}}, and every such product
+        has m factors from B, so B^{{m}} lies in B^<m>.
+        """
+        n = 2 * b.algebra.dim + 4
+        rp, gp, sf = right_powers(b, n), general_powers(b, n), strong_filtration(b, n)
+        for m in range(1, n + 1):
+            assert gp.entry(m) == rp.entry(m) == sf.entry(m), (b.algebra.name, m)
+        bundle = compute_series(b, n)
+        assert (bundle.general, bundle.strong) == (gp, sf)
+
+    @pytest.mark.parametrize("name,n,n_max,status", [
+        ("NF", 5, 2, UNDETERMINED),
+        ("NF", 5, 3, UNDETERMINED),
+        ("NF", 5, 12, FOUND),
+        ("S", 3, 12, NEVER),
+        ("S", 5, 64, NEVER),
+    ])
+    def test_family_tables_match_the_oracles(self, name, n, n_max, status):
+        alg = family(name, n)
+        for b in (full_ideal(alg), squares_ideal(alg)):
+            self.assert_tables_match(b, n_max)
+        assert nilpotency_profile(full_ideal(alg), n_max).strong_status == status
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("n_max", [2, 3, 12])
+    def test_fixture_tables_match_the_oracles(self, algebras, name, n_max):
+        loaded = algebras[name]
+        for space in [loaded.algebra.full_space(), *loaded.ideals.values()]:
+            self.assert_tables_match(IdealHandle(loaded.algebra, space), n_max)
+
+    @staticmethod
+    def assert_tables_match(b, n_max):
+        bundle = compute_series(b, n_max)
+        for table, oracle in ((bundle.general, general_powers(b, n_max)),
+                              (bundle.strong, strong_filtration(b, n_max))):
+            assert table.kind == oracle.kind
+            assert table.entries == oracle.entries
+            assert table.stabilized == oracle.stabilized
+            assert table.terminated_zero == oracle.terminated_zero
 
 
 class TestTranslates:
