@@ -43,7 +43,6 @@ from .series import (
     SeriesTable,
     bk_chain,
     compute_series,
-    es_nil_index,
     index_bound,
     left_powers,
     left_translates,

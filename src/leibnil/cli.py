@@ -127,9 +127,9 @@ def cmd_profile(args) -> int:
 
     kmax = args.kmax if args.kmax is not None else alg.dim + 1
     bundle = compute_series(b, args.nmax, kmax)
-    chain = bk_chain(b, args.nmax)
-    profile = profile_from_series(bundle, args.nmax)
-    inclusions = verify_paper_inclusions(b, bundle, chain, min(args.nmax, 10), seed=args.seed)
+    chain = bk_chain(bundle)
+    profile = profile_from_series(bundle)
+    inclusions = verify_paper_inclusions(bundle, chain, min(args.nmax, 10), seed=args.seed)
 
     print(f"algebra {alg.name} (dim {alg.dim} over {alg.field!r}), ideal: {ideal_name}")
     rp_dims = bundle.right.dims()

@@ -71,7 +71,7 @@ def analyze_candidate(constants: Constants, field: PrimeField, dim: int) -> dict
     n_max = max(MIN_NMAX, dim + 2)
     try:
         bundle = compute_series(b, n_max)
-        profile = profile_from_series(bundle, n_max)
+        profile = profile_from_series(bundle)
     except ChainVerificationError as exc:
         raise ChainVerificationError(f"candidate {alg.name}: {exc}") from exc
     return {

@@ -183,27 +183,31 @@ class EsNilVerdict:
         return self.k is not None
 
 
-def es_nil_index(b: IdealHandle, side: str, k_max: int | None = None) -> EsNilVerdict:
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    alg = b.algebra
-    if k_max is None:
-        k_max = alg.dim + 1
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    d = es_of(b)
-    if side == "right":
-        table = right_translates(d, k_max, alg)
-    else:
-        table = left_translates(d, k_max, alg)
+@dataclass(frozen=True)
+class SeriesBundle:
+    """Every series of one ideal and its Es verdicts, computed once by compute_series."""
+
+    ideal: IdealHandle
+    n_max: int
+    right: SeriesTable
+    left: SeriesTable
+    general: SeriesTable
+    strong: SeriesTable
+    es_space: Subspace
+    es_right: EsNilVerdict
+    es_left: EsNilVerdict
+
+
+def _es_verdict(table: SeriesTable) -> EsNilVerdict:
+    """The verdict read off a translate series of Es(B)."""
     for k, s in table.entries:
         if s.is_zero():
             return EsNilVerdict(max(k, 1), True, table)
     return EsNilVerdict(None, table.stabilized, table)
 
 
-def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:
-    """The chain B_0 = L, B_1 = B, B_k = B^k + Es(B) for k >= 2.
+def bk_chain(bundle: SeriesBundle) -> SeriesTable:
+    """The chain B_0 = L, B_1 = B, B_k = B^k + Es(B) for 2 <= k <= bundle.n_max.
 
     Each entry is re-verified to be a two-sided ideal and the chain to be
     decreasing; a failure would contradict the theory on a verified algebra,
@@ -211,15 +215,12 @@ def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:
     stabilized flag is set only once the underlying power series has stopped,
     which makes the constant extension in entry() sound.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
+    b, powers, es = bundle.ideal, bundle.right, bundle.es_space
     alg = b.algebra
-    es = es_of(b)
-    powers = right_powers(b, k_max)
     entries: list[tuple[int, Subspace]] = [(0, alg.full_space()), (1, b.space)]
     terminated_zero = False
     stabilized = False
-    for k in range(2, k_max + 1):
+    for k in range(2, bundle.n_max + 1):
         bk = subspace_sum(powers.entry(k), es)
         entries.append((k, bk))
         if bk.is_zero():
@@ -343,16 +344,16 @@ def _inside_power(right: SeriesTable, w: int, target: Subspace) -> bool:
         return False
 
 
-def verify_paper_inclusions(b: IdealHandle, bundle: SeriesBundle, chain: SeriesTable,
-                            n_max: int, seed: int = 0, samples: int = 20) -> InclusionReport:
+def verify_paper_inclusions(bundle: SeriesBundle, chain: SeriesTable, n_max: int,
+                            seed: int = 0, samples: int = 20) -> InclusionReport:
     """Machine-check the inclusion lemmas on one ideal, from its computed series.
 
     (a) B^n inside ^nB + Es(B); (b) right products of weight n lie in
     B_n = B^n + Es(B); (c) with B Es_k-right nil, right products of weight
     >= 2l lie in (B^l).L^k; (d) B^<i> . B^<j> inside B^<i+j>;
-    (e) B^k inside B^{{k}} inside B^<k>. Every table of `bundle` is read as
-    if it had been computed at n_max, which must not exceed the bound the
-    bundle was computed at, and `chain` is the B_k chain.
+    (e) B^k inside B^{{k}} inside B^<k>. B is `bundle.ideal`, every table of
+    `bundle` is read as if it had been computed at n_max, which must not
+    exceed `bundle.n_max`, and `chain` is the B_k chain.
 
     Precondition: B is an ideal of a right Leibniz algebra. Then B.L and
     L.B lie in B, and right multiplication is a derivation,
@@ -367,6 +368,9 @@ def verify_paper_inclusions(b: IdealHandle, bundle: SeriesBundle, chain: SeriesT
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    if n_max > bundle.n_max:
+        raise ValueError(f"n_max {n_max} exceeds the series depth {bundle.n_max}")
+    b = bundle.ideal
     alg = b.algebra
     rp, lp, gp, sf = (_cut(t, n_max) for t in
                       (bundle.right, bundle.left, bundle.general, bundle.strong))
@@ -440,17 +444,6 @@ def verify_paper_inclusions(b: IdealHandle, bundle: SeriesBundle, chain: SeriesT
     return InclusionReport(seed, samples, tuple(checks))
 
 
-@dataclass(frozen=True)
-class SeriesBundle:
-    right: SeriesTable
-    left: SeriesTable
-    general: SeriesTable
-    strong: SeriesTable
-    es_space: Subspace
-    es_right: EsNilVerdict
-    es_left: EsNilVerdict
-
-
 def _weight_table(kind: SeriesKind, right: SeriesTable, n_max: int) -> SeriesTable:
     """Levels 1..n_max of the general or strong table, read off the right powers.
 
@@ -477,15 +470,22 @@ def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> Seri
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
+    alg = b.algebra
+    if k_max is None:
+        k_max = alg.dim + 1
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     right = right_powers(b, n_max)
+    es = es_of(b)
     return SeriesBundle(
+        ideal=b, n_max=n_max,
         right=right,
         left=left_powers(b, n_max),
         general=_weight_table(SeriesKind.GENERAL_POWERS, right, n_max),
         strong=_weight_table(SeriesKind.STRONG_FILTRATION, right, n_max),
-        es_space=es_of(b),
-        es_right=es_nil_index(b, "right", k_max),
-        es_left=es_nil_index(b, "left", k_max),
+        es_space=es,
+        es_right=_es_verdict(right_translates(es, k_max, alg)),
+        es_left=_es_verdict(left_translates(es, k_max, alg)),
     )
 
 
@@ -526,7 +526,7 @@ def _one_step_status(table: SeriesTable) -> tuple[int | None, str]:
     return None, NEVER if table.stabilized else UNDETERMINED
 
 
-def profile_from_series(bundle: SeriesBundle, n_max: int) -> NilpotencyProfile:
+def profile_from_series(bundle: SeriesBundle) -> NilpotencyProfile:
     right_index, right_status = _one_step_status(bundle.right)
     left_index, left_status = _one_step_status(bundle.left)
 
@@ -557,7 +557,7 @@ def profile_from_series(bundle: SeriesBundle, n_max: int) -> NilpotencyProfile:
             bound_verdict = "violated" if bundle.es_right.found else "n/a"
     else:
         check_bound = alt_bound if alt_bound is not None else theorem_bound
-        if bundle.es_right.found and n_max >= check_bound:
+        if bundle.es_right.found and bundle.n_max >= check_bound:
             # the theorem guarantees a strong index at most check_bound
             bound_satisfied, bound_verdict = False, "violated"
         else:
@@ -587,4 +587,4 @@ def nilpotency_profile(b: IdealHandle, n_max: int, k_max: int | None = None) -> 
     compute_series. Then the strong index is the right index, so a found
     right index settles the bound check at any n_max.
     """
-    return profile_from_series(compute_series(b, n_max, k_max), n_max)
+    return profile_from_series(compute_series(b, n_max, k_max))

@@ -63,7 +63,7 @@ def inconsistent_bundle(l2):
 def shrunken_chain(l2):
     """l2's B_k chain with B_2 = 0, so B^2 = span(e_2) escapes B_2."""
     b = full_ideal(l2.algebra)
-    entries = bk_chain(b, 8).entries[:2] + ((2, l2.algebra.zero_space()),)
+    entries = bk_chain(compute_series(b, 8)).entries[:2] + ((2, l2.algebra.zero_space()),)
     return SeriesTable(SeriesKind.BK_CHAIN, entries, False, True)
 
 
@@ -72,7 +72,8 @@ def nf3_bundle_without_zero():
     """NF_3 with its right powers frozen at B^3 = span(e_3) past the cut at 3.
 
     NF_3: [e_i, e_1] = e_{i+1}. Its true B^4 is 0; the table claims B^4 = B^3,
-    so B^4 escapes (B^2).L^2 = 0, while every entry up to 3 is true.
+    so B^4 escapes (B^2).L^2 = 0, while every entry up to 3 is true. The
+    B_k chain comes with it, built from the true series.
     """
     alg = algebra_from_constants("NF3", 3, QQ, [(1, 1, 2, QQ.one), (2, 1, 3, QQ.one)])
     b = full_ideal(alg)
@@ -80,4 +81,4 @@ def nf3_bundle_without_zero():
     e3 = span([vector(QQ, [0, 0, 1])], 3)
     right = SeriesTable(SeriesKind.RIGHT_POWERS, bundle.right.entries[:4] + ((4, e3),),
                         True, False)
-    return b, replace(bundle, right=right)
+    return replace(bundle, right=right), bk_chain(bundle)

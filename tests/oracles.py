@@ -3,8 +3,11 @@
 `general_powers` and `strong_filtration` compute the general powers by their
 recurrence over bracketings and the weight filtration as a least fixpoint
 over weight levels, independently of the right powers the library reads
-both tables from. `sampled_inclusion_report` recomputes every table and
-decides the inclusion checks (b) and (c) by sampling alone.
+both tables from. `es_nil_index` and `bk_chain` recompute Es(B) and the
+right powers for each verdict and for the chain, independently of the
+series bundle the library reads them from. `sampled_inclusion_report`
+recomputes every table and decides the inclusion checks (b) and (c) by
+sampling alone.
 """
 
 from random import Random
@@ -18,15 +21,15 @@ from leibnil.algebra import (
 )
 from leibnil.linalg import Subspace, contains, is_subspace_of, subspace_sum
 from leibnil.series import (
+    EsNilVerdict,
     InclusionCheck,
     InclusionReport,
     SeriesKind,
     SeriesTable,
     _random_right_product,
-    bk_chain,
-    es_nil_index,
     filtration_check,
     left_powers,
+    left_translates,
     right_powers,
     right_translates,
 )
@@ -148,6 +151,66 @@ def strong_filtration(b: IdealHandle, n_max: int) -> SeriesTable:
     return SeriesTable(SeriesKind.STRONG_FILTRATION, tuple(entries), stabilized,
                        terminated_zero)
 
+
+def es_nil_index(b: IdealHandle, side: str, k_max: int | None = None) -> EsNilVerdict:
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    alg = b.algebra
+    if k_max is None:
+        k_max = alg.dim + 1
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    d = es_of(b)
+    if side == "right":
+        table = right_translates(d, k_max, alg)
+    else:
+        table = left_translates(d, k_max, alg)
+    for k, s in table.entries:
+        if s.is_zero():
+            return EsNilVerdict(max(k, 1), True, table)
+    return EsNilVerdict(None, table.stabilized, table)
+
+
+def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:
+    """The chain B_0 = L, B_1 = B, B_k = B^k + Es(B) for k >= 2.
+
+    Each entry is re-verified to be a two-sided ideal and the chain to be
+    decreasing; a failure would contradict the theory on a verified algebra,
+    so it is raised as ChainVerificationError rather than reported. The
+    stabilized flag is set only once the underlying power series has stopped,
+    which makes the constant extension in entry() sound.
+    """
+    if k_max < 2:
+        raise ValueError("k_max must be >= 2")
+    alg = b.algebra
+    es = es_of(b)
+    powers = right_powers(b, k_max)
+    entries: list[tuple[int, Subspace]] = [(0, alg.full_space()), (1, b.space)]
+    terminated_zero = False
+    stabilized = False
+    for k in range(2, k_max + 1):
+        bk = subspace_sum(powers.entry(k), es)
+        entries.append((k, bk))
+        if bk.is_zero():
+            terminated_zero = True
+            break
+        if bk == entries[-2][1] and powers.entries[-1][0] <= k:
+            # underlying power series has already stopped, so B_k is constant now
+            stabilized = True
+            break
+    checked: set[Subspace] = set()
+    full = alg.full_space()
+    for k, space in entries:
+        if space in checked:
+            continue
+        checked.add(space)
+        if not is_subspace_of(subspace_product(space, full, alg), space) or \
+                not is_subspace_of(subspace_product(full, space, alg), space):
+            raise ChainVerificationError(f"B_{k} is not a two-sided ideal")
+    for (k, upper), (_, lower) in zip(entries, entries[1:]):
+        if not is_subspace_of(lower, upper):
+            raise ChainVerificationError(f"B_{k} does not contain B_{k + 1}")
+    return SeriesTable(SeriesKind.BK_CHAIN, tuple(entries), stabilized, terminated_zero)
 
 
 def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=None):

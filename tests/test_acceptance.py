@@ -25,7 +25,7 @@ from leibnil.search import run_search
 from leibnil.series import (
     NEVER,
     bk_chain,
-    es_nil_index,
+    compute_series,
     left_powers,
     nilpotency_profile,
     right_powers,
@@ -164,7 +164,8 @@ def test_criterion_5_power_inclusions_and_chain(algebras):
         lp = left_powers(b, 10)
         for n in range(1, 11):
             assert is_subspace_of(rp.entry(n), subspace_sum(lp.entry(n), es)), (name, n)
-        chain = bk_chain(b, 10)  # raises if any B_k fails the ideal or chain check
+        # raises if any B_k fails the ideal or chain check
+        chain = bk_chain(compute_series(b, 10))
         for (_, upper), (_, lower) in zip(chain.entries, chain.entries[1:]):
             assert is_subspace_of(lower, upper)
         for _, space in chain.entries:
@@ -189,8 +190,8 @@ def test_criterion_6_exact_profiles(algebras):
     p = nilpotency_profile(a2, 16)
     assert p.right_status == NEVER and p.right_index is None
     assert p.left_index == 3
-    es_right = es_nil_index(a2, "right")
-    es_left = es_nil_index(a2, "left")
+    bundle = compute_series(a2, 16)
+    es_right, es_left = bundle.es_right, bundle.es_left
     assert es_right.k is None and es_right.definitive
     assert es_left.k == 1
     verdict(6, True, "exact profiles: l2/h3 all 3 (bound 31), abelian2 all 2 "

@@ -76,6 +76,15 @@ class TestProfile:
         assert main(["profile", fx("h3"), "--ideal", "center"]) == 0
         assert "ideal: center" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--kmax", "0"], "k_max must be >= 1"),
+        (["--kmax", "-3"], "k_max must be >= 1"),
+        (["--nmax", "1"], "n_max must be >= 2"),
+    ])
+    def test_series_range_is_usage_error(self, flags, message, capsys):
+        assert main(["profile", fx("l2"), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_ideal_is_usage_error(self, capsys):
         assert main(["profile", fx("h3"), "--ideal", "nope"]) == 2
 
@@ -185,7 +194,7 @@ class TestSearch:
         assert json.loads(out_path.read_text())["partial"] is True
 
     def test_invariant_failure_names_the_candidate(self, monkeypatch, capsys):
-        def fail(bundle, n_max):
+        def fail(bundle):
             raise ChainVerificationError("index sandwich violated (general/strong)")
 
         monkeypatch.setattr(search, "profile_from_series", fail)

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from dataclasses import asdict
 from functools import cache
 from itertools import combinations, product
@@ -31,7 +32,7 @@ from leibnil.linalg import (
     zero_subspace,
     zero_vector,
 )
-from leibnil.search import sparse_tensors_sampled
+from leibnil.search import run_search, sparse_tensors_sampled
 from leibnil.series import (
     FOUND,
     ChainVerificationError,
@@ -41,7 +42,6 @@ from leibnil.series import (
     _random_right_product,
     bk_chain,
     compute_series,
-    es_nil_index,
     filtration_check,
     index_bound,
     left_powers,
@@ -54,6 +54,7 @@ from leibnil.series import (
     verify_paper_inclusions,
 )
 
+from . import oracles
 from .conftest import FIXTURE_NAMES, FIXTURES
 from .oracles import general_powers, sampled_inclusion_report, strong_filtration
 from .strategies import subspaces, vectors
@@ -229,6 +230,19 @@ def sampled_ideal(alg, which):
 sampled_ideals = st.tuples(st.deferred(lambda: st.sampled_from(sampled_right_leibniz())),
                            st.sampled_from(["full", "squares", "square"])).map(
     lambda pair: sampled_ideal(*pair))
+
+
+def inclusions(b, depth, n_max, **kwargs):
+    """The inclusion report at n_max from the series and B_k chain computed at depth."""
+    bundle = compute_series(b, depth)
+    return verify_paper_inclusions(bundle, bk_chain(bundle), n_max, **kwargs)
+
+
+def assert_same_table(table, oracle):
+    assert table.kind == oracle.kind
+    assert table.entries == oracle.entries
+    assert table.stabilized == oracle.stabilized
+    assert table.terminated_zero == oracle.terminated_zero
 
 
 def assert_same_report(report, oracle):
@@ -428,12 +442,65 @@ class TestWeightTables:
     @staticmethod
     def assert_tables_match(b, n_max):
         bundle = compute_series(b, n_max)
-        for table, oracle in ((bundle.general, general_powers(b, n_max)),
-                              (bundle.strong, strong_filtration(b, n_max))):
-            assert table.kind == oracle.kind
-            assert table.entries == oracle.entries
-            assert table.stabilized == oracle.stabilized
-            assert table.terminated_zero == oracle.terminated_zero
+        assert_same_table(bundle.general, general_powers(b, n_max))
+        assert_same_table(bundle.strong, strong_filtration(b, n_max))
+
+
+def assert_es_and_chain_match(b, n_max, k_max):
+    """The bundle's Es verdicts and B_k chain, field for field against the oracles."""
+    bundle = compute_series(b, n_max, k_max)
+    for verdict, side in ((bundle.es_right, "right"), (bundle.es_left, "left")):
+        oracle = oracles.es_nil_index(b, side, k_max)
+        assert (verdict.k, verdict.definitive) == (oracle.k, oracle.definitive), side
+        assert_same_table(verdict.table, oracle.table)
+    assert_same_table(bk_chain(bundle), oracles.bk_chain(b, n_max))
+
+
+class TestBundleMatchesTheOracles:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    @pytest.mark.parametrize("n_max", [2, 3, 12])
+    def test_fixtures_and_named_ideals(self, algebras, name, n_max):
+        loaded = algebras[name]
+        for space in [loaded.algebra.full_space(), *loaded.ideals.values()]:
+            for k_max in (None, 1, 2):
+                assert_es_and_chain_match(IdealHandle(loaded.algebra, space), n_max, k_max)
+
+    @pytest.mark.parametrize("name,n", [("NF", n) for n in range(3, 7)] +
+                             [("S", n) for n in range(2, 6)])
+    def test_relabelled_families(self, name, n):
+        alg = family(name, n)
+        for b in (full_ideal(alg), squares_ideal(alg)):
+            for n_max in (2, 3, 12):
+                for k_max in (None, 1, 2):
+                    assert_es_and_chain_match(b, n_max, k_max)
+
+    @given(lemma_ideals(), st.integers(2, 12), st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=120, deadline=None)
+    def test_sampled_ideals(self, b, n_max, k_max):
+        assert_es_and_chain_match(b, n_max, k_max)
+
+
+class TestSeriesComputedOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("es_of", "right_powers"):
+            def counting(*args, _name=name, _real=getattr(series, name)):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(series, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_profile_computes_es_and_right_powers_once(self, calls, name, capsys):
+        assert main(["profile", str(FIXTURES / f"{name}.json"), "--nmax", "12"]) == 0
+        assert calls == {"es_of": 1, "right_powers": 1}
+
+    def test_search_computes_es_once_per_valid_candidate(self, calls):
+        report = run_search(2, 3, None, 0)
+        assert report["valid"] == 20
+        assert calls == {"es_of": 20, "right_powers": 20}
 
 
 class TestTranslates:
@@ -463,50 +530,50 @@ class TestTranslates:
 
 class TestEsNilIndex:
     def test_lie_algebra_trivially_one(self, h3):
-        verdict = es_nil_index(full_ideal(h3.algebra), "right")
+        verdict = compute_series(full_ideal(h3.algebra), 2).es_right
         assert verdict.k == 1 and verdict.definitive
 
     def test_a2_right_definitively_absent(self, a2):
-        verdict = es_nil_index(full_ideal(a2.algebra), "right")
+        verdict = compute_series(full_ideal(a2.algebra), 2).es_right
         assert verdict.k is None and verdict.definitive
 
     def test_a2_left_is_one(self, a2):
-        verdict = es_nil_index(full_ideal(a2.algebra), "left")
+        verdict = compute_series(full_ideal(a2.algebra), 2).es_left
         assert verdict.k == 1 and verdict.definitive
 
     def test_l2_right_is_one(self, l2):
-        verdict = es_nil_index(full_ideal(l2.algebra), "right")
+        verdict = compute_series(full_ideal(l2.algebra), 2).es_right
         assert verdict.k == 1 and verdict.definitive
 
-    def test_bad_side_rejected(self, l2):
-        with pytest.raises(ValueError):
-            es_nil_index(full_ideal(l2.algebra), "up")
+    def test_k_max_below_one_rejected(self, l2):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            compute_series(full_ideal(l2.algebra), 2, k_max=0)
 
 
 class TestBkChain:
     def test_lie_chain_equals_powers(self, h3):
         b = full_ideal(h3.algebra)
-        chain = bk_chain(b, 6)
+        chain = bk_chain(compute_series(b, 6))
         powers = right_powers(b, 6)
         for k, space in chain.entries:
             if k >= 2:
                 assert space == powers.entry(k)
 
     def test_l2_chain_freezes_at_the_line(self, l2):
-        chain = bk_chain(full_ideal(l2.algebra), 6)
+        chain = bk_chain(compute_series(full_ideal(l2.algebra), 6))
         assert chain.entry(2) == e2_line()
         assert chain.entry(3) == e2_line()
         assert chain.entry(6) == e2_line()
 
     def test_a2_chain(self, a2):
-        chain = bk_chain(full_ideal(a2.algebra), 8)
+        chain = bk_chain(compute_series(full_ideal(a2.algebra), 8))
         for k in range(2, 9):
             assert chain.entry(k) == e2_line()
 
     def test_chain_entries_are_ideals_and_decreasing(self, algebras):
         for name in FIXTURE_NAMES:
             alg = algebras[name].algebra
-            chain = bk_chain(full_ideal(alg), 8)
+            chain = bk_chain(compute_series(full_ideal(alg), 8))
             for (_, upper), (_, lower) in zip(chain.entries, chain.entries[1:]):
                 assert is_subspace_of(lower, upper)
             for _, space in chain.entries:
@@ -518,7 +585,7 @@ class TestMonotoneChains:
     def test_decreasing_kinds_decrease(self, algebras, name):
         b = full_ideal(algebras[name].algebra)
         bundle = compute_series(b, 12)
-        for table in (bundle.right, bundle.left, bundle.strong, bk_chain(b, 12)):
+        for table in (bundle.right, bundle.left, bundle.strong, bk_chain(bundle)):
             entries = table.entries
             start = 1 if table.kind in (SeriesKind.RIGHT_POWERS,
                                         SeriesKind.LEFT_POWERS) else 0
@@ -556,9 +623,7 @@ class TestRandomVectorIn:
 class TestInclusionChecks:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_full_ideal_inclusions_pass(self, algebras, name):
-        b = full_ideal(algebras[name].algebra)
-        report = verify_paper_inclusions(b, compute_series(b, 8), bk_chain(b, 8), 8,
-                                         seed=7, samples=10)
+        report = inclusions(full_ideal(algebras[name].algebra), 8, 8, seed=7, samples=10)
         assert report.ok, [c for c in report.checks if not c.passed]
 
     def test_named_ideal_inclusions_pass(self, algebras):
@@ -566,8 +631,7 @@ class TestInclusionChecks:
             loaded = algebras[name]
             for space in loaded.ideals.values():
                 b = IdealHandle(loaded.algebra, space)
-                report = verify_paper_inclusions(b, compute_series(b, 6), bk_chain(b, 6), 6,
-                                                 seed=3, samples=6)
+                report = inclusions(b, 6, 6, seed=3, samples=6)
                 assert report.ok, (name, [c for c in report.checks if not c.passed])
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -575,15 +639,23 @@ class TestInclusionChecks:
         b = full_ideal(algebras[name].algebra)
         check = filtration_check(strong_filtration(b, 8), b.algebra)
         assert check.passed
-        assert check in verify_paper_inclusions(
-            b, compute_series(b, 8), bk_chain(b, 8), 8).checks
+        assert check in inclusions(b, 8, 8).checks
 
     def test_report_is_seed_deterministic(self, l2):
         b = full_ideal(l2.algebra)
-        bundle, chain = compute_series(b, 6), bk_chain(b, 6)
-        first = verify_paper_inclusions(b, bundle, chain, 6, seed=11, samples=8)
-        second = verify_paper_inclusions(b, bundle, chain, 6, seed=11, samples=8)
+        bundle = compute_series(b, 6)
+        chain = bk_chain(bundle)
+        first = verify_paper_inclusions(bundle, chain, 6, seed=11, samples=8)
+        second = verify_paper_inclusions(bundle, chain, 6, seed=11, samples=8)
         assert first == second
+
+    def test_n_max_past_the_series_depth_rejected(self):
+        # NF_5 computed at 3 has no B^4; read at 5 that entry would be missing
+        alg = algebra_from_constants("NF5", 5, QQ,
+                                     [(i, 1, i + 1, QQ.one) for i in range(1, 5)])
+        bundle = compute_series(full_ideal(alg), 3)
+        with pytest.raises(ValueError, match="n_max 5 exceeds the series depth 3"):
+            verify_paper_inclusions(bundle, bk_chain(bundle), 5)
 
 
 class TestExactInclusions:
@@ -594,8 +666,7 @@ class TestExactInclusions:
         for space in [loaded.algebra.full_space(), *loaded.ideals.values()]:
             b = IdealHandle(loaded.algebra, space)
             for nmax in (n_max, 64):
-                report = verify_paper_inclusions(
-                    b, compute_series(b, nmax), bk_chain(b, nmax), min(n_max, 10), seed=5)
+                report = inclusions(b, nmax, min(n_max, 10), seed=5)
                 assert_same_report(report, sampled_inclusion_report(b, min(n_max, 10), seed=5))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -607,8 +678,7 @@ class TestExactInclusions:
         alg = algebra_from_constants(f"NF{n}", n, QQ,
                                      [(i, 1, i + 1, QQ.one) for i in range(1, n)])
         b = full_ideal(alg)
-        report = verify_paper_inclusions(b, compute_series(b, 12), bk_chain(b, 12), n_max,
-                                         seed=n, samples=4)
+        report = inclusions(b, 12, n_max, seed=n, samples=4)
         assert_same_report(report, sampled_inclusion_report(b, n_max, seed=n, samples=4))
 
     @given(sampled_ideals, st.integers(2, 12), st.integers(0, 4),
@@ -617,8 +687,7 @@ class TestExactInclusions:
     def test_sampled_tensors_match_sampling(self, b, n_max, extra, seed, samples):
         # the bundle may run past n_max, as a profile's does past 10
         nmax = n_max + extra
-        report = verify_paper_inclusions(b, compute_series(b, nmax), bk_chain(b, nmax),
-                                         n_max, seed=seed, samples=samples)
+        report = inclusions(b, nmax, n_max, seed=seed, samples=samples)
         assert_same_report(report, sampled_inclusion_report(b, n_max, seed=seed,
                                                             samples=samples))
 
@@ -658,7 +727,7 @@ class TestExactInclusions:
     def test_failed_chain_inclusion_replays_the_sampling(self, l2, shrunken_chain,
                                                           product_calls):
         b = full_ideal(l2.algebra)
-        report = verify_paper_inclusions(b, compute_series(b, 6), shrunken_chain, 6,
+        report = verify_paper_inclusions(compute_series(b, 6), shrunken_chain, 6,
                                          seed=13, samples=9)
         # three checks (b) and, with Es(L) Es_1-right nil, two checks (c)
         assert len(product_calls) == 5 * 9
@@ -668,8 +737,9 @@ class TestExactInclusions:
 
     def test_failed_translate_inclusion_replays_the_sampling(self, nf3_bundle_without_zero,
                                                               product_calls):
-        b, bundle = nf3_bundle_without_zero
-        report = verify_paper_inclusions(b, bundle, bk_chain(b, 8), 3, seed=2, samples=7)
+        bundle, chain = nf3_bundle_without_zero
+        b = bundle.ideal
+        report = verify_paper_inclusions(bundle, chain, 3, seed=2, samples=7)
         # three checks (b) and the checks (c) for l = 2, 3
         assert len(product_calls) == 5 * 7
         assert report.ok
@@ -748,7 +818,7 @@ class TestIndexSandwich:
 class TestInvariants:
     def test_inconsistent_bundle_raises(self, inconsistent_bundle):
         with pytest.raises(ChainVerificationError, match="right/general"):
-            profile_from_series(inconsistent_bundle, 8)
+            profile_from_series(inconsistent_bundle)
 
     def test_library_has_no_assert(self):
         # invariants must raise under python -O too, which strips asserts
