@@ -203,6 +203,16 @@ def subspace_product(u: Subspace, v: Subspace, alg: AlgebraDef) -> Subspace:
     return span(products, alg.dim, alg.field)
 
 
+def _non_ideal_side(s: Subspace, alg: AlgebraDef) -> str | None:
+    """The side on which s is not an ideal of alg, "right" before "left", or None."""
+    full = alg.full_space()
+    if not is_subspace_of(subspace_product(s, full, alg), s):
+        return "right"
+    if not is_subspace_of(subspace_product(full, s, alg), s):
+        return "left"
+    return None
+
+
 def ideal_closure(s: Subspace, alg: AlgebraDef) -> "IdealHandle":
     """Smallest two-sided ideal containing s, by fixpoint iteration.
 
@@ -230,13 +240,11 @@ class IdealHandle:
     space: Subspace
 
     def __post_init__(self) -> None:
-        full = self.algebra.full_space()
         if self.space.ambient_dim != self.algebra.dim or self.space.field != self.algebra.field:
             raise ValueError("subspace does not live in the algebra")
-        if not is_subspace_of(subspace_product(self.space, full, self.algebra), self.space):
-            raise ValueError("subspace is not a right ideal")
-        if not is_subspace_of(subspace_product(full, self.space, self.algebra), self.space):
-            raise ValueError("subspace is not a left ideal")
+        side = _non_ideal_side(self.space, self.algebra)
+        if side is not None:
+            raise ValueError(f"subspace is not a {side} ideal")
 
     @property
     def dim(self) -> int:

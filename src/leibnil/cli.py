@@ -17,13 +17,11 @@ import sys
 from .algebra import (
     ChainVerificationError,
     IdealHandle,
-    full_ideal,
     is_antisymmetric,
     verify_left_leibniz,
     verify_right_leibniz,
 )
 from .files import (
-    dump_report,
     load_algebra_file,
     profile_report,
     tool_stamp,
@@ -86,7 +84,6 @@ def cmd_check(args) -> int:
 
 
 _NEVER_TEXT = {
-    "right": "not right nilpotent (fixed point)",
     "left": "not left nilpotent (fixed point)",
     "general": "not nilpotent (definitive via right fixed point)",
     "strong": "not strongly nilpotent (definitive via right fixed point)",
@@ -125,8 +122,7 @@ def cmd_profile(args) -> int:
         ideal_name = "full"
     b = IdealHandle(alg, space)  # re-validates two-sidedness
 
-    kmax = args.kmax if args.kmax is not None else alg.dim + 1
-    bundle = compute_series(b, args.nmax, kmax)
+    bundle = compute_series(b, args.nmax, args.kmax)
     chain = bk_chain(bundle)
     profile = profile_from_series(bundle)
     inclusions = verify_paper_inclusions(bundle, chain, min(args.nmax, 10), seed=args.seed)
@@ -147,18 +143,13 @@ def cmd_profile(args) -> int:
           f"{_status_text(profile.strong_index, profile.strong_status, 'strong')}")
 
     es_bits = [f"Es(B) dim {bundle.es_space.dim}"]
-    if profile.es_right_nil_k is not None:
-        es_bits.append(f"Es_{profile.es_right_nil_k}-right nil")
-    elif profile.es_right_definitive:
-        es_bits.append("not Es_k-right nil for any k (fixed point)")
-    else:
-        es_bits.append("Es-right verdict undetermined")
-    if profile.es_left_nil_k is not None:
-        es_bits.append(f"Es_{profile.es_left_nil_k}-left nil")
-    elif profile.es_left_definitive:
-        es_bits.append("not Es_k-left nil for any k (fixed point)")
-    else:
-        es_bits.append("Es-left verdict undetermined")
+    for side, es in (("right", bundle.es_right), ("left", bundle.es_left)):
+        if es.found:
+            es_bits.append(f"Es_{es.k}-{side} nil")
+        elif es.definitive:
+            es_bits.append(f"not Es_k-{side} nil for any k (fixed point)")
+        else:
+            es_bits.append(f"Es-{side} verdict undetermined")
     print("; ".join(es_bits))
 
     if profile.theorem_bound is not None:
@@ -179,8 +170,7 @@ def cmd_profile(args) -> int:
             print(f"  FAILED {check.name}: {check.detail}")
 
     if args.json:
-        write_report(profile_report(alg, ideal_name, bundle, chain, profile, inclusions,
-                                    args.nmax, kmax, args.seed), args.json)
+        write_report(profile_report(ideal_name, bundle, chain, profile, inclusions), args.json)
 
     if profile.bound_verdict == "violated" or not inclusions.ok:
         return EXIT_MATH

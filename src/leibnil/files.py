@@ -130,14 +130,13 @@ def inclusions_to_dict(report: InclusionReport) -> dict:
     }
 
 
-def profile_report(alg: AlgebraDef, ideal_name: str, bundle: SeriesBundle,
-                   chain: SeriesTable, profile: NilpotencyProfile,
-                   inclusions: InclusionReport, n_max: int, k_max: int, seed: int) -> dict:
+def profile_report(ideal_name: str, bundle: SeriesBundle, chain: SeriesTable,
+                   profile: NilpotencyProfile, inclusions: InclusionReport) -> dict:
     return {
         "tool": tool_stamp(),
-        "algebra": algebra_stamp(alg),
+        "algebra": algebra_stamp(bundle.ideal.algebra),
         "ideal": ideal_name,
-        "params": {"nmax": n_max, "kmax": k_max, "seed": seed},
+        "params": {"nmax": bundle.n_max, "kmax": bundle.k_max, "seed": inclusions.seed},
         "series": {
             "right_powers": series_to_dict(bundle.right),
             "left_powers": series_to_dict(bundle.left),

@@ -26,8 +26,6 @@ from .series import (
 
 Constants = tuple[tuple[int, int, int, int], ...]
 
-# least series depth for a candidate; the series of L stop by index dim+1 anyway
-MIN_NMAX = 6
 # left-but-not-right nilpotent tensors listed in a report
 MAX_EXAMPLES = 5
 
@@ -68,9 +66,8 @@ def analyze_candidate(constants: Constants, field: PrimeField, dim: int) -> dict
     b = full_ideal(alg)
     # the right and left powers of L decrease, so they stop at zero or a fixed
     # point by index dim+1, and every verdict below is settled by then
-    n_max = max(MIN_NMAX, dim + 2)
     try:
-        bundle = compute_series(b, n_max)
+        bundle = compute_series(b, dim + 2)
         profile = profile_from_series(bundle)
     except ChainVerificationError as exc:
         raise ChainVerificationError(f"candidate {alg.name}: {exc}") from exc

@@ -43,6 +43,7 @@ from .algebra import (
     AlgebraDef,
     ChainVerificationError,
     IdealHandle,
+    _non_ideal_side,
     bracket,
     es_of,
     subspace_product,
@@ -65,6 +66,11 @@ class SeriesKind(str, Enum):
     BK_CHAIN = "bk_chain"
     RIGHT_TRANSLATES = "right_translates"
     LEFT_TRANSLATES = "left_translates"
+
+
+FOUND = "found"
+NEVER = "never"
+UNDETERMINED = "undetermined"
 
 
 # kinds whose recurrence is a function of the previous entry alone, so a
@@ -103,12 +109,17 @@ class SeriesTable:
             return last
         raise KeyError(f"{self.kind.value} table has no entry {k}")
 
-    def first_zero_index(self) -> int | None:
-        """Least index k >= 1 whose entry is the zero subspace."""
+    def verdict(self) -> tuple[int | None, str]:
+        """(index, status) read off the table.
+
+        FOUND with the index of the first zero entry; NEVER, with no index,
+        when the table stopped at a nonzero fixed point; UNDETERMINED, with
+        no index, when it ran out of range first.
+        """
         for k, s in self.entries:
-            if k >= 1 and s.is_zero():
-                return k
-        return None
+            if s.is_zero():
+                return k, FOUND
+        return None, NEVER if self.stabilized else UNDETERMINED
 
 
 def _product_series(kind: SeriesKind, head: list[tuple[int, Subspace]],
@@ -189,6 +200,7 @@ class SeriesBundle:
 
     ideal: IdealHandle
     n_max: int
+    k_max: int
     right: SeriesTable
     left: SeriesTable
     general: SeriesTable
@@ -199,21 +211,20 @@ class SeriesBundle:
 
 
 def _es_verdict(table: SeriesTable) -> EsNilVerdict:
-    """The verdict read off a translate series of Es(B)."""
-    for k, s in table.entries:
-        if s.is_zero():
-            return EsNilVerdict(max(k, 1), True, table)
-    return EsNilVerdict(None, table.stabilized, table)
+    """The verdict read off a translate series of Es(B); Es(B) = 0 counts as k = 1."""
+    k, status = table.verdict()
+    return EsNilVerdict(None if k is None else max(k, 1), status != UNDETERMINED, table)
 
 
 def bk_chain(bundle: SeriesBundle) -> SeriesTable:
     """The chain B_0 = L, B_1 = B, B_k = B^k + Es(B) for 2 <= k <= bundle.n_max.
 
-    Each entry is re-verified to be a two-sided ideal and the chain to be
-    decreasing; a failure would contradict the theory on a verified algebra,
-    so it is raised as ChainVerificationError rather than reported. The
-    stabilized flag is set only once the underlying power series has stopped,
-    which makes the constant extension in entry() sound.
+    Each entry other than L and B, which are ideals already, is re-verified
+    to be a two-sided ideal, and the chain to be decreasing; a failure would
+    contradict the theory on a verified algebra, so it is raised as
+    ChainVerificationError rather than reported. The stabilized flag is set
+    only once the underlying power series has stopped, which makes the
+    constant extension in entry() sound.
     """
     b, powers, es = bundle.ideal, bundle.right, bundle.es_space
     alg = b.algebra
@@ -230,15 +241,12 @@ def bk_chain(bundle: SeriesBundle) -> SeriesTable:
             # underlying power series has already stopped, so B_k is constant now
             stabilized = True
             break
-    checked: set[Subspace] = set()
-    full = alg.full_space()
-    for k, space in entries:
-        if space in checked:
-            continue
-        checked.add(space)
-        if not is_subspace_of(subspace_product(space, full, alg), space) or \
-                not is_subspace_of(subspace_product(full, space, alg), space):
-            raise ChainVerificationError(f"B_{k} is not a two-sided ideal")
+    checked = {alg.full_space(), b.space}
+    for k, space in entries[2:]:
+        if space not in checked:
+            checked.add(space)
+            if _non_ideal_side(space, alg) is not None:
+                raise ChainVerificationError(f"B_{k} is not a two-sided ideal")
     for (k, upper), (_, lower) in zip(entries, entries[1:]):
         if not is_subspace_of(lower, upper):
             raise ChainVerificationError(f"B_{k} does not contain B_{k + 1}")
@@ -449,6 +457,8 @@ def _weight_table(kind: SeriesKind, right: SeriesTable, n_max: int) -> SeriesTab
 
     They equal B^m by the lemma in the module docstring. The table stops at
     the first zero level; a nonzero repeat at the end is flagged stabilized.
+    For n_max >= 2 that repeat appears exactly when the right powers stop at
+    a nonzero fixed point, so verdict() reads NEVER off both or neither.
     """
     entries: list[tuple[int, Subspace]] = []
     for m in range(1, n_max + 1):
@@ -478,7 +488,7 @@ def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> Seri
     right = right_powers(b, n_max)
     es = es_of(b)
     return SeriesBundle(
-        ideal=b, n_max=n_max,
+        ideal=b, n_max=n_max, k_max=k_max,
         right=right,
         left=left_powers(b, n_max),
         general=_weight_table(SeriesKind.GENERAL_POWERS, right, n_max),
@@ -487,11 +497,6 @@ def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> Seri
         es_right=_es_verdict(right_translates(es, k_max, alg)),
         es_left=_es_verdict(left_translates(es, k_max, alg)),
     )
-
-
-FOUND = "found"
-NEVER = "never"
-UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True)
@@ -519,27 +524,11 @@ def index_bound(n: int) -> int:
     return 4 * n * n - 2 * n + 1
 
 
-def _one_step_status(table: SeriesTable) -> tuple[int | None, str]:
-    idx = table.first_zero_index()
-    if idx is not None:
-        return idx, FOUND
-    return None, NEVER if table.stabilized else UNDETERMINED
-
-
 def profile_from_series(bundle: SeriesBundle) -> NilpotencyProfile:
-    right_index, right_status = _one_step_status(bundle.right)
-    left_index, left_status = _one_step_status(bundle.left)
-
-    general_index = bundle.general.first_zero_index()
-    strong_index = bundle.strong.first_zero_index()
-    if right_status == NEVER:
-        # B^n contains the nonzero fixed point for every n, and
-        # B^n <= B^{{n}} <= B^<n>, so neither of the larger series can vanish.
-        general_status = strong_status = NEVER
-        general_index = strong_index = None
-    else:
-        general_status = FOUND if general_index is not None else UNDETERMINED
-        strong_status = FOUND if strong_index is not None else UNDETERMINED
+    right_index, right_status = bundle.right.verdict()
+    left_index, left_status = bundle.left.verdict()
+    general_index, general_status = bundle.general.verdict()
+    strong_index, strong_status = bundle.strong.verdict()
 
     theorem_bound = index_bound(right_index) if right_index is not None else None
     alt_bound = None

@@ -5,7 +5,10 @@ recurrence over bracketings and the weight filtration as a least fixpoint
 over weight levels, independently of the right powers the library reads
 both tables from. `es_nil_index` and `bk_chain` recompute Es(B) and the
 right powers for each verdict and for the chain, independently of the
-series bundle the library reads them from. `sampled_inclusion_report`
+series bundle the library reads them from. `one_step_status`,
+`es_verdict` and `weight_statuses` read the verdicts off the tables by
+three separate rules, apart from `SeriesTable.verdict`, which the library
+reads them with. `sampled_inclusion_report`
 recomputes every table and decides the inclusion checks (b) and (c) by
 sampling alone.
 """
@@ -21,6 +24,9 @@ from leibnil.algebra import (
 )
 from leibnil.linalg import Subspace, contains, is_subspace_of, subspace_sum
 from leibnil.series import (
+    FOUND,
+    NEVER,
+    UNDETERMINED,
     EsNilVerdict,
     InclusionCheck,
     InclusionReport,
@@ -152,6 +158,41 @@ def strong_filtration(b: IdealHandle, n_max: int) -> SeriesTable:
                        terminated_zero)
 
 
+def first_zero_index(table: SeriesTable) -> int | None:
+    """Least index k >= 1 whose entry is the zero subspace."""
+    for k, s in table.entries:
+        if k >= 1 and s.is_zero():
+            return k
+    return None
+
+
+def one_step_status(table: SeriesTable) -> tuple[int | None, str]:
+    """The right or left power verdict: FOUND at a zero, NEVER when stabilized."""
+    idx = first_zero_index(table)
+    if idx is not None:
+        return idx, FOUND
+    return None, NEVER if table.stabilized else UNDETERMINED
+
+
+def weight_statuses(right: SeriesTable, general: SeriesTable,
+                    strong: SeriesTable) -> tuple[tuple[int | None, str], ...]:
+    """The general and strong verdicts, NEVER whenever the right powers are."""
+    if one_step_status(right)[1] == NEVER:
+        # B^n contains the nonzero fixed point for every n, and
+        # B^n <= B^{{n}} <= B^<n>, so neither of the larger series can vanish.
+        return (None, NEVER), (None, NEVER)
+    return tuple((idx, FOUND if idx is not None else UNDETERMINED)
+                 for idx in (first_zero_index(general), first_zero_index(strong)))
+
+
+def es_verdict(table: SeriesTable) -> EsNilVerdict:
+    """The verdict read off a translate series of Es(B)."""
+    for k, s in table.entries:
+        if s.is_zero():
+            return EsNilVerdict(max(k, 1), True, table)
+    return EsNilVerdict(None, table.stabilized, table)
+
+
 def es_nil_index(b: IdealHandle, side: str, k_max: int | None = None) -> EsNilVerdict:
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -165,10 +206,7 @@ def es_nil_index(b: IdealHandle, side: str, k_max: int | None = None) -> EsNilVe
         table = right_translates(d, k_max, alg)
     else:
         table = left_translates(d, k_max, alg)
-    for k, s in table.entries:
-        if s.is_zero():
-            return EsNilVerdict(max(k, 1), True, table)
-    return EsNilVerdict(None, table.stabilized, table)
+    return es_verdict(table)
 
 
 def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:

@@ -288,8 +288,14 @@ class TestIdeals:
         assert closed.space == span([qvec(1, 0, 0), qvec(0, 0, 1)], 3)
 
     def test_ideal_handle_rejects_non_ideal(self, a2):
-        with pytest.raises(ValueError):
+        # [e2, e1] = e2 leaves span(e1) on the left only
+        with pytest.raises(ValueError, match=r"^subspace is not a left ideal$"):
             IdealHandle(a2.algebra, span([qvec(1, 0)], 2))
+
+    def test_ideal_handle_tests_the_right_side_first(self, h3):
+        # [e1, e2] = e3 and [e2, e1] = -e3: span(e1) fails on both sides
+        with pytest.raises(ValueError, match=r"^subspace is not a right ideal$"):
+            IdealHandle(h3.algebra, span([qvec(1, 0, 0)], 3))
 
     def test_bundled_subspaces_are_ideals(self, algebras):
         for loaded in algebras.values():

@@ -1,6 +1,6 @@
 import ast
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import cache
 from itertools import combinations, product
 from pathlib import Path
@@ -9,7 +9,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leibnil import series
+from leibnil import algebra, series
 from leibnil.algebra import (
     IdealHandle,
     algebra_from_constants,
@@ -38,7 +38,9 @@ from leibnil.series import (
     ChainVerificationError,
     NEVER,
     UNDETERMINED,
+    EsNilVerdict,
     SeriesKind,
+    SeriesTable,
     _random_right_product,
     bk_chain,
     compute_series,
@@ -166,6 +168,14 @@ def family(name, n):
                                   signed_relabel(constants, n, Random(n)))
 
 
+def sl2():
+    """The Lie algebra sl_2 on e, f, h: [e, f] = h, [h, e] = 2e, [h, f] = -2f."""
+    constants = []
+    for i, j, k, c in ((1, 2, 3, 1), (3, 1, 1, 2), (3, 2, 2, -2)):
+        constants += [(i, j, k, QQ.from_int(c)), (j, i, k, QQ.from_int(-c))]
+    return algebra_from_constants("sl2", 3, QQ, constants)
+
+
 def valid_gf3_tensors(count):
     """The first `count` right Leibniz algebras among seeded dim-3 GF(3) samples."""
     found = []
@@ -255,13 +265,13 @@ class TestRightPowers:
     def test_abelian_squares_to_zero(self, abelian2):
         table = right_powers(full_ideal(abelian2.algebra), 10)
         assert table.dims() == [2, 2, 0]
-        assert table.terminated_zero and table.first_zero_index() == 2
+        assert table.terminated_zero and table.verdict()[0] == 2
 
     def test_a2_stabilizes_nonzero(self, a2):
         table = right_powers(full_ideal(a2.algebra), 10)
         assert table.dims() == [2, 2, 1, 1]
         assert table.stabilized and not table.terminated_zero
-        assert table.first_zero_index() is None
+        assert table.verdict()[0] is None
         # fixed-point soundness: one more product step changes nothing
         fix = table.entries[-1][1]
         assert subspace_product(fix, a2.algebra.full_space(), a2.algebra) == fix
@@ -271,26 +281,26 @@ class TestRightPowers:
     def test_l2_dies_at_three(self, l2):
         table = right_powers(full_ideal(l2.algebra), 10)
         assert table.dims() == [2, 2, 1, 0]
-        assert table.first_zero_index() == 3
+        assert table.verdict()[0] == 3
 
     def test_zero_ideal_has_index_one(self, a2):
         b = IdealHandle(a2.algebra, zero_subspace(QQ, 2))
-        assert right_powers(b, 5).first_zero_index() == 1
+        assert right_powers(b, 5).verdict()[0] == 1
 
 
 class TestLeftPowers:
     def test_abelian(self, abelian2):
-        assert left_powers(full_ideal(abelian2.algebra), 10).first_zero_index() == 2
+        assert left_powers(full_ideal(abelian2.algebra), 10).verdict()[0] == 2
 
     def test_a2_left_dies(self, a2):
         table = left_powers(full_ideal(a2.algebra), 10)
         assert table.dims() == [2, 2, 1, 0]
-        assert table.first_zero_index() == 3
+        assert table.verdict()[0] == 3
 
     def test_h3(self, h3):
         table = left_powers(full_ideal(h3.algebra), 10)
         assert table.dims() == [3, 3, 1, 0]
-        assert table.first_zero_index() == 3
+        assert table.verdict()[0] == 3
 
 
 class TestGeneralPowers:
@@ -306,7 +316,7 @@ class TestGeneralPowers:
         assert gp.entry(2) == rp.entry(2) == lp.entry(2)
 
     def test_h3_dies_at_three(self, h3):
-        assert general_powers(full_ideal(h3.algebra), 10).first_zero_index() == 3
+        assert general_powers(full_ideal(h3.algebra), 10).verdict()[0] == 3
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_matches_bracketing_enumeration(self, algebras, name):
@@ -327,11 +337,11 @@ class TestStrongFiltration:
     def test_h3_dies_at_three(self, h3):
         table = strong_filtration(full_ideal(h3.algebra), 10)
         assert table.dims() == [3, 1, 0]
-        assert table.first_zero_index() == 3
+        assert table.verdict()[0] == 3
 
     def test_l2_dies_at_three_under_bound(self, l2):
         table = strong_filtration(full_ideal(l2.algebra), 31)
-        assert table.first_zero_index() == 3
+        assert table.verdict()[0] == 3
         assert 3 <= index_bound(3) == 31
 
     def test_a2_levels_freeze_at_the_line(self, a2):
@@ -374,7 +384,7 @@ class TestStrongFiltration:
     def test_center_of_h3_dies_at_two(self, h3):
         b = IdealHandle(h3.algebra, h3.ideals["center"])
         table = strong_filtration(b, 5)
-        assert table.first_zero_index() == 2
+        assert table.verdict()[0] == 2
         assert table.entry(2) == oracle_strong_level(b, 2, 3)
 
 
@@ -446,14 +456,21 @@ class TestWeightTables:
         assert_same_table(bundle.strong, strong_filtration(b, n_max))
 
 
-def assert_es_and_chain_match(b, n_max, k_max):
-    """The bundle's Es verdicts and B_k chain, field for field against the oracles."""
+def assert_bundle_matches_the_oracles(b, n_max, k_max):
+    """The bundle's verdicts, Es verdicts and B_k chain, field for field against the oracles."""
     bundle = compute_series(b, n_max, k_max)
+    assert bundle.k_max == (b.algebra.dim + 1 if k_max is None else k_max)
+    assert bundle.right.verdict() == oracles.one_step_status(bundle.right)
+    assert bundle.left.verdict() == oracles.one_step_status(bundle.left)
+    assert (bundle.general.verdict(), bundle.strong.verdict()) == \
+        oracles.weight_statuses(bundle.right, bundle.general, bundle.strong)
     for verdict, side in ((bundle.es_right, "right"), (bundle.es_left, "left")):
         oracle = oracles.es_nil_index(b, side, k_max)
         assert (verdict.k, verdict.definitive) == (oracle.k, oracle.definitive), side
         assert_same_table(verdict.table, oracle.table)
+        assert verdict == oracles.es_verdict(verdict.table), side
     assert_same_table(bk_chain(bundle), oracles.bk_chain(b, n_max))
+    return bundle
 
 
 class TestBundleMatchesTheOracles:
@@ -463,7 +480,8 @@ class TestBundleMatchesTheOracles:
         loaded = algebras[name]
         for space in [loaded.algebra.full_space(), *loaded.ideals.values()]:
             for k_max in (None, 1, 2):
-                assert_es_and_chain_match(IdealHandle(loaded.algebra, space), n_max, k_max)
+                assert_bundle_matches_the_oracles(IdealHandle(loaded.algebra, space),
+                                                  n_max, k_max)
 
     @pytest.mark.parametrize("name,n", [("NF", n) for n in range(3, 7)] +
                              [("S", n) for n in range(2, 6)])
@@ -472,12 +490,28 @@ class TestBundleMatchesTheOracles:
         for b in (full_ideal(alg), squares_ideal(alg)):
             for n_max in (2, 3, 12):
                 for k_max in (None, 1, 2):
-                    assert_es_and_chain_match(b, n_max, k_max)
+                    assert_bundle_matches_the_oracles(b, n_max, k_max)
 
     @given(lemma_ideals(), st.integers(2, 12), st.sampled_from([None, 1, 2, 3]))
     @settings(max_examples=120, deadline=None)
     def test_sampled_ideals(self, b, n_max, k_max):
-        assert_es_and_chain_match(b, n_max, k_max)
+        assert_bundle_matches_the_oracles(b, n_max, k_max)
+
+    def test_undetermined_at_shallow_bounds(self, l2):
+        # l2 has right index 3; NF_4 ([e_i, e_1] = e_{i+1}) has Es(L) Es_3-right nil
+        bundle = assert_bundle_matches_the_oracles(full_ideal(l2.algebra), 2, None)
+        for table in (bundle.right, bundle.left, bundle.general, bundle.strong):
+            assert table.verdict() == (None, UNDETERMINED), table.kind
+        bundle = assert_bundle_matches_the_oracles(full_ideal(family("NF", 4)), 12, 1)
+        assert (bundle.es_right.k, bundle.es_right.definitive) == (None, False)
+
+    def test_zero_es_is_nil_at_one(self, h3):
+        # h3 is a Lie algebra, so its squares ideal and Es(L) are 0
+        bundle = assert_bundle_matches_the_oracles(full_ideal(h3.algebra), 12, None)
+        assert bundle.es_space.is_zero()
+        for verdict in (bundle.es_right, bundle.es_left):
+            assert verdict.table.verdict() == (0, FOUND)
+            assert verdict == EsNilVerdict(1, True, verdict.table)
 
 
 class TestSeriesComputedOnce:
@@ -502,6 +536,33 @@ class TestSeriesComputedOnce:
         assert report["valid"] == 20
         assert calls == {"es_of": 20, "right_powers": 20}
 
+    @pytest.mark.parametrize("name,ideal", [
+        *[(name, "full") for name in FIXTURE_NAMES],
+        ("a2", "span_e2"), ("l2", "span_e2"), ("h3", "center"), ("h3", "plane13"),
+        ("sl2", "full"),
+    ])
+    def test_bk_chain_multiplies_no_entry_equal_to_l_or_b(self, algebras, name, ideal,
+                                                          monkeypatch):
+        # a2's span(e2) is its own B_2, and every B_k of the perfect sl2 is L
+        alg = sl2() if name == "sl2" else algebras[name].algebra
+        b = IdealHandle(alg, alg.full_space() if ideal == "full" else algebras[name].ideals[ideal])
+        bundle = compute_series(b, 8)
+        calls = []
+        for module in (algebra, series):
+            def counting(u, v, *rest, _real=module.subspace_product):
+                calls.append((u, v))
+                return _real(u, v, *rest)
+
+            monkeypatch.setattr(module, "subspace_product", counting)
+        chain = bk_chain(bundle)
+        full = b.algebra.full_space()
+        expected = []
+        for _, space in chain.entries:
+            if space not in (full, b.space) and (space, full) not in expected:
+                expected += [(space, full), (full, space)]
+        assert calls == expected
+        assert name != "sl2" or chain.entries == ((0, full), (1, full), (2, full))
+
 
 class TestTranslates:
     def test_zero_space_stays_zero(self, a2):
@@ -516,16 +577,16 @@ class TestTranslates:
 
     def test_a2_e2_line_dies_on_the_left(self, a2):
         table = left_translates(e2_line(), 5, a2.algebra)
-        assert table.first_zero_index() == 1
+        assert table.verdict()[0] == 1
 
     def test_l2_e2_line_dies_on_the_right(self, l2):
         table = right_translates(e2_line(), 5, l2.algebra)
-        assert table.first_zero_index() == 1
+        assert table.verdict()[0] == 1
 
     def test_h3_center_dies_both_ways(self, h3):
         center = h3.ideals["center"]
-        assert right_translates(center, 5, h3.algebra).first_zero_index() == 1
-        assert left_translates(center, 5, h3.algebra).first_zero_index() == 1
+        assert right_translates(center, 5, h3.algebra).verdict()[0] == 1
+        assert left_translates(center, 5, h3.algebra).verdict()[0] == 1
 
 
 class TestEsNilIndex:
@@ -569,6 +630,14 @@ class TestBkChain:
         chain = bk_chain(compute_series(full_ideal(a2.algebra), 8))
         for k in range(2, 9):
             assert chain.entry(k) == e2_line()
+
+    def test_b2_not_an_ideal_raises(self, h3):
+        # B^2 doctored to span(e1), which [e1, e2] = e3 takes out of it; Es(L) = 0
+        bundle = compute_series(full_ideal(h3.algebra), 2)
+        right = SeriesTable(SeriesKind.RIGHT_POWERS, bundle.right.entries[:2] +
+                            ((2, span([qvec(1, 0, 0)], 3)),), False, False)
+        with pytest.raises(ChainVerificationError, match=r"^B_2 is not a two-sided ideal$"):
+            bk_chain(replace(bundle, right=right))
 
     def test_chain_entries_are_ideals_and_decreasing(self, algebras):
         for name in FIXTURE_NAMES:
@@ -827,6 +896,23 @@ class TestInvariants:
             tree = ast.parse(path.read_text(), filename=str(path))
             asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
             assert asserts == [], f"{path.name} asserts at lines {asserts}"
+
+    def test_library_imports_no_unused_name(self):
+        # __init__.py imports names to re-export them
+        src = Path(__file__).resolve().parent.parent / "src" / "leibnil"
+        for path in sorted(src.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                        getattr(node, "module", None) != "__future__":
+                    imported |= {alias.asname or alias.name.split(".")[0]
+                                 for alias in node.names}
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused = sorted(imported - used)
+            assert unused == [], f"{path.name} never uses {unused}"
 
 
 @given(st.data())
