@@ -66,6 +66,13 @@ CUT_CASES = {
        (GENERATED["profile_s4_signed"][0], ["--nmax", str(nmax)]) for nmax in (3, 10)},
     "profile_a2_nmax12": ("a2", ["--nmax", "12"]),
     "profile_l2_nmax12": ("l2", ["--nmax", "12"]),
+    # Profiles whose check (c) needs B^{2l} past nmax: l = 2 for h3 and l2
+    # (Es_1-right nil) at 2, and l = 3, 4 for NF_4 (Es_3-right nil) at 3 and
+    # 4. They were recorded when such checks were decided by sampling.
+    "profile_h3_nmax2": ("h3", ["--nmax", "2"]),
+    "profile_l2_nmax2": ("l2", ["--nmax", "2"]),
+    **{f"profile_nf4_signed_nmax{nmax}":
+       (GENERATED["profile_nf4_signed"][0], ["--nmax", str(nmax)]) for nmax in (3, 4)},
 }
 
 
