@@ -204,7 +204,12 @@ def subspace_product(u: Subspace, v: Subspace, alg: AlgebraDef) -> Subspace:
 
 
 def _non_ideal_side(s: Subspace, alg: AlgebraDef) -> str | None:
-    """The side on which s is not an ideal of alg, "right" before "left", or None."""
+    """The side on which s is not an ideal of alg, "right" before "left", or None.
+
+    L itself is an ideal, so it is answered without a product.
+    """
+    if s.dim == alg.dim:
+        return None
     full = alg.full_space()
     if not is_subspace_of(subspace_product(s, full, alg), s):
         return "right"

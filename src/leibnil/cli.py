@@ -172,9 +172,7 @@ def cmd_profile(args) -> int:
     if args.json:
         write_report(profile_report(ideal_name, bundle, chain, profile, inclusions), args.json)
 
-    if profile.bound_verdict == "violated" or not inclusions.ok:
-        return EXIT_MATH
-    return EXIT_OK
+    return EXIT_OK if inclusions.ok else EXIT_MATH
 
 
 def _parse_assignments(pairs, alg):
@@ -243,8 +241,7 @@ def cmd_search(args) -> int:
         print("NOTE: candidate cap hit, report is partial")
     if args.json:
         write_report(report, args.json)
-    bad = report["bound_violations"] or report["filtration_violations"]
-    return EXIT_MATH if bad else EXIT_OK
+    return EXIT_MATH if report["filtration_violations"] else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

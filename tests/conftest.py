@@ -51,12 +51,15 @@ def broken():
 
 
 @pytest.fixture(scope="session")
-def inconsistent_bundle(l2):
-    """l2's series with general powers dying at 2, before the right index 3."""
-    b = full_ideal(l2.algebra)
-    general = SeriesTable(SeriesKind.GENERAL_POWERS,
-                          ((1, b.space), (2, l2.algebra.zero_space())), False, True)
-    return replace(compute_series(b, 8), general=general)
+def h3_bundle_with_non_ideal_b2(h3):
+    """h3's series with B^2 doctored to span(e1), which [e1, e2] = e3 takes out of it.
+
+    Es(h3) = 0, so the B_k chain has B_2 = span(e1), which is not an ideal.
+    """
+    bundle = compute_series(full_ideal(h3.algebra), 2)
+    right = SeriesTable(SeriesKind.RIGHT_POWERS, bundle.right.entries[:2] +
+                        ((2, span([vector(QQ, [1, 0, 0])], 3)),), False, False)
+    return replace(bundle, right=right)
 
 
 @pytest.fixture(scope="session")
@@ -71,9 +74,10 @@ def shrunken_chain(l2):
 def nf3_bundle_without_zero():
     """NF_3 with its right powers frozen at B^3 = span(e_3) past the cut at 3.
 
-    NF_3: [e_i, e_1] = e_{i+1}. Its true B^4 is 0; the table claims B^4 = B^3,
-    so B^4 escapes (B^2).L^2 = 0, while every entry up to 3 is true. The
-    B_k chain comes with it, built from the true series.
+    NF_3: [e_i, e_1] = e_{i+1}. Its true B^4 is 0; the table claims B^4 = B^3
+    and, stabilized, every later power too, so B^4 escapes (B^2).L^2 = 0 and
+    B^6 escapes (B^3).L^2 = 0, while every entry up to 3 is true. The B_k
+    chain comes with it, built from the true series.
     """
     alg = algebra_from_constants("NF3", 3, QQ, [(1, 1, 2, QQ.one), (2, 1, 3, QQ.one)])
     b = full_ideal(alg)

@@ -10,7 +10,8 @@ series bundle the library reads them from. `one_step_status`,
 three separate rules, apart from `SeriesTable.verdict`, which the library
 reads them with. `sampled_inclusion_report`
 recomputes every table and decides the inclusion checks (b) and (c) by
-sampling alone.
+sampling alone, with `random_right_product`, where the library decides them
+by exact inclusion.
 """
 
 from random import Random
@@ -19,10 +20,12 @@ from leibnil.algebra import (
     AlgebraDef,
     ChainVerificationError,
     IdealHandle,
+    bracket,
     es_of,
     subspace_product,
 )
-from leibnil.linalg import Subspace, contains, is_subspace_of, subspace_sum
+from leibnil.fields import Field
+from leibnil.linalg import Subspace, Vector, contains, is_subspace_of, subspace_sum
 from leibnil.series import (
     FOUND,
     NEVER,
@@ -32,7 +35,6 @@ from leibnil.series import (
     InclusionReport,
     SeriesKind,
     SeriesTable,
-    _random_right_product,
     filtration_check,
     left_powers,
     left_translates,
@@ -251,6 +253,37 @@ def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:
     return SeriesTable(SeriesKind.BK_CHAIN, tuple(entries), stabilized, terminated_zero)
 
 
+def random_vector_in(space: Subspace, rng: Random, field: Field) -> Vector:
+    """Random field combination of the basis rows (zero when the space is zero).
+
+    One coefficient is drawn per basis row, in row order, so a seed gives the
+    same vector as summing whole scaled rows.
+    """
+    out = [field.zero] * space.ambient_dim
+    for row in space.basis:
+        c = field.random(rng)
+        for k, a in enumerate(row):
+            if a:
+                out[k] = field.add(out[k], field.mul(c, a))
+    return Vector(field, tuple(out))
+
+
+def random_right_product(alg: AlgebraDef, b_space: Subspace, length: int,
+                         weight: int, rng: Random) -> Vector:
+    """Evaluate a random right product with `weight` factors drawn from b_space."""
+    positions = set(rng.sample(range(length), weight))
+    factors = []
+    for pos in range(length):
+        if pos in positions:
+            factors.append(random_vector_in(b_space, rng, alg.field))
+        else:
+            factors.append(random_vector_in(alg.full_space(), rng, alg.field))
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = bracket(acc, f, alg)
+    return acc
+
+
 def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=None):
     """The inclusion report with every check (b) and (c) decided by sampling.
 
@@ -283,7 +316,7 @@ def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=Non
         bad = 0
         for _ in range(samples):
             length = rng.randint(n, n + 2)
-            v = _random_right_product(alg, b.space, length, n, rng)
+            v = random_right_product(alg, b.space, length, n, rng)
             if not contains(target, v):
                 bad += 1
         checks.append(InclusionCheck(
@@ -302,7 +335,7 @@ def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=Non
             for _ in range(samples):
                 length = rng.randint(2 * ell, 2 * ell + 2)
                 weight = rng.randint(2 * ell, length)
-                v = _random_right_product(alg, b.space, length, weight, rng)
+                v = random_right_product(alg, b.space, length, weight, rng)
                 if not contains(translated, v):
                     bad += 1
             checks.append(InclusionCheck(

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leibnil import algebra
 from leibnil.algebra import (
     AlgebraDef,
     IdealHandle,
@@ -296,6 +297,16 @@ class TestIdeals:
         # [e1, e2] = e3 and [e2, e1] = -e3: span(e1) fails on both sides
         with pytest.raises(ValueError, match=r"^subspace is not a right ideal$"):
             IdealHandle(h3.algebra, span([qvec(1, 0, 0)], 3))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_full_ideal_multiplies_nothing(self, algebras, name, monkeypatch):
+        # L is an ideal of itself, so validating it costs no L.L product
+        calls = []
+        real = algebra.subspace_product
+        monkeypatch.setattr(algebra, "subspace_product",
+                            lambda *args: calls.append(args) or real(*args))
+        full_ideal(algebras[name].algebra)
+        assert calls == []
 
     def test_bundled_subspaces_are_ideals(self, algebras):
         for loaded in algebras.values():

@@ -9,7 +9,7 @@ from leibnil.cli import main
 from leibnil.fields import GF
 from leibnil.series import InclusionCheck
 
-from .conftest import FIXTURES
+from .conftest import FIXTURE_NAMES, FIXTURES
 
 
 def fx(name):
@@ -99,10 +99,10 @@ class TestProfile:
         assert main(["profile", fx("broken")]) == 1
 
     def test_broken_invariant_exits_1_with_message(self, monkeypatch, capsys,
-                                                   inconsistent_bundle):
-        monkeypatch.setattr(cli, "compute_series", lambda *args: inconsistent_bundle)
-        assert main(["profile", fx("l2")]) == 1
-        assert "mathematical check failed: index sandwich violated" in \
+                                                   h3_bundle_with_non_ideal_b2):
+        monkeypatch.setattr(cli, "compute_series", lambda *args: h3_bundle_with_non_ideal_b2)
+        assert main(["profile", fx("h3")]) == 1
+        assert "mathematical check failed: B_2 is not a two-sided ideal" in \
             capsys.readouterr().err
 
     def test_full_flag_removed(self, capsys):
@@ -119,6 +119,23 @@ class TestProfile:
         assert report["profile"]["right_index"] == 3
         assert report["profile"]["bound_satisfied"] is True
         assert report["inclusions"]["all_passed"] is True
+
+
+    @pytest.mark.parametrize("nmax", ["2", "3", "12"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_seed_changes_nothing_but_its_echo(self, algebras, name, nmax, tmp_path, capsys):
+        # every inclusion check is decided exactly, so the seed is only echoed
+        for ideal in [None, *algebras[name].ideals]:
+            flags = ["--nmax", nmax] + (["--ideal", ideal] if ideal else [])
+            runs = []
+            for seed in ("0", "7"):
+                out = tmp_path / f"seed{seed}.json"
+                assert main(["profile", fx(name), *flags, "--seed", seed,
+                             "--json", str(out)]) == 0
+                runs.append((capsys.readouterr().out.replace(f"(seed {seed},", "(seed _,"),
+                             out.read_text().replace(f'"seed": {seed}', '"seed": _')))
+            assert runs[0] == runs[1]
+            assert runs[0][1].count('"seed": _') == 2
 
 
 class TestNormalize:

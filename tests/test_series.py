@@ -1,6 +1,6 @@
 import ast
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import cache
 from itertools import combinations, product
 from pathlib import Path
@@ -21,7 +21,7 @@ from leibnil.algebra import (
     subspace_product,
 )
 from leibnil.cli import main
-from leibnil.fields import GF, QQ
+from leibnil.fields import GF, QQ, PrimeField, RationalField
 from leibnil.linalg import (
     Vector,
     contains,
@@ -40,8 +40,6 @@ from leibnil.series import (
     UNDETERMINED,
     EsNilVerdict,
     SeriesKind,
-    SeriesTable,
-    _random_right_product,
     bk_chain,
     compute_series,
     filtration_check,
@@ -49,8 +47,6 @@ from leibnil.series import (
     left_powers,
     left_translates,
     nilpotency_profile,
-    profile_from_series,
-    random_vector_in,
     right_powers,
     right_translates,
     verify_paper_inclusions,
@@ -58,7 +54,13 @@ from leibnil.series import (
 
 from . import oracles
 from .conftest import FIXTURE_NAMES, FIXTURES
-from .oracles import general_powers, sampled_inclusion_report, strong_filtration
+from .oracles import (
+    general_powers,
+    random_right_product,
+    random_vector_in,
+    sampled_inclusion_report,
+    strong_filtration,
+)
 from .strategies import subspaces, vectors
 
 
@@ -631,13 +633,9 @@ class TestBkChain:
         for k in range(2, 9):
             assert chain.entry(k) == e2_line()
 
-    def test_b2_not_an_ideal_raises(self, h3):
-        # B^2 doctored to span(e1), which [e1, e2] = e3 takes out of it; Es(L) = 0
-        bundle = compute_series(full_ideal(h3.algebra), 2)
-        right = SeriesTable(SeriesKind.RIGHT_POWERS, bundle.right.entries[:2] +
-                            ((2, span([qvec(1, 0, 0)], 3)),), False, False)
+    def test_b2_not_an_ideal_raises(self, h3_bundle_with_non_ideal_b2):
         with pytest.raises(ChainVerificationError, match=r"^B_2 is not a two-sided ideal$"):
-            bk_chain(replace(bundle, right=right))
+            bk_chain(h3_bundle_with_non_ideal_b2)
 
     def test_chain_entries_are_ideals_and_decreasing(self, algebras):
         for name in FIXTURE_NAMES:
@@ -692,7 +690,7 @@ class TestRandomVectorIn:
 class TestInclusionChecks:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_full_ideal_inclusions_pass(self, algebras, name):
-        report = inclusions(full_ideal(algebras[name].algebra), 8, 8, seed=7, samples=10)
+        report = inclusions(full_ideal(algebras[name].algebra), 8, 8, seed=7)
         assert report.ok, [c for c in report.checks if not c.passed]
 
     def test_named_ideal_inclusions_pass(self, algebras):
@@ -700,7 +698,7 @@ class TestInclusionChecks:
             loaded = algebras[name]
             for space in loaded.ideals.values():
                 b = IdealHandle(loaded.algebra, space)
-                report = inclusions(b, 6, 6, seed=3, samples=6)
+                report = inclusions(b, 6, 6, seed=3)
                 assert report.ok, (name, [c for c in report.checks if not c.passed])
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -714,8 +712,8 @@ class TestInclusionChecks:
         b = full_ideal(l2.algebra)
         bundle = compute_series(b, 6)
         chain = bk_chain(bundle)
-        first = verify_paper_inclusions(bundle, chain, 6, seed=11, samples=8)
-        second = verify_paper_inclusions(bundle, chain, 6, seed=11, samples=8)
+        first = verify_paper_inclusions(bundle, chain, 6, seed=11)
+        second = verify_paper_inclusions(bundle, chain, 6, seed=11)
         assert first == second
 
     def test_n_max_past_the_series_depth_rejected(self):
@@ -747,18 +745,16 @@ class TestExactInclusions:
         alg = algebra_from_constants(f"NF{n}", n, QQ,
                                      [(i, 1, i + 1, QQ.one) for i in range(1, n)])
         b = full_ideal(alg)
-        report = inclusions(b, 12, n_max, seed=n, samples=4)
-        assert_same_report(report, sampled_inclusion_report(b, n_max, seed=n, samples=4))
+        report = inclusions(b, 12, n_max, seed=n)
+        assert_same_report(report, sampled_inclusion_report(b, n_max, seed=n))
 
-    @given(sampled_ideals, st.integers(2, 12), st.integers(0, 4),
-           st.integers(0, 2 ** 16), st.integers(1, 6))
+    @given(sampled_ideals, st.integers(2, 12), st.integers(0, 4), st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
-    def test_sampled_tensors_match_sampling(self, b, n_max, extra, seed, samples):
+    def test_sampled_tensors_match_sampling(self, b, n_max, extra, seed):
         # the bundle may run past n_max, as a profile's does past 10
         nmax = n_max + extra
-        report = inclusions(b, nmax, n_max, seed=seed, samples=samples)
-        assert_same_report(report, sampled_inclusion_report(b, n_max, seed=seed,
-                                                            samples=samples))
+        report = inclusions(b, nmax, n_max, seed=seed)
+        assert_same_report(report, sampled_inclusion_report(b, n_max, seed=seed))
 
     @given(sampled_ideals, st.integers(0, 6), st.data())
     @settings(max_examples=60, deadline=None)
@@ -778,41 +774,41 @@ class TestExactInclusions:
         length += 1
         weight = data.draw(st.integers(0, length))
         rng = Random(data.draw(st.integers(0, 2 ** 16)))
-        v = _random_right_product(b.algebra, b.space, length, weight, rng)
+        v = random_right_product(b.algebra, b.space, length, weight, rng)
         assert contains(right_powers(b, max(weight, 1)).entry(weight), v)
 
-    @pytest.fixture
-    def product_calls(self, monkeypatch):
-        calls = []
-        real = series._random_right_product
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n_max", [2, 3, 4])
+    def test_check_c_carries_the_powers_past_the_bundle(self, n, n_max):
+        # NF_n computed only to n_max, as a profile at nmax <= 10 is: check (c)
+        # reads B^{2l} past the bundle, so the right powers are carried on
+        alg = algebra_from_constants(f"NF{n}", n, QQ,
+                                     [(i, 1, i + 1, QQ.one) for i in range(1, n)])
+        b = full_ideal(alg)
+        report = inclusions(b, n_max, n_max, seed=n)
+        assert_same_report(report, sampled_inclusion_report(b, n_max, seed=n))
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(series, "_random_right_product", counting)
-        return calls
-
-    def test_failed_chain_inclusion_replays_the_sampling(self, l2, shrunken_chain,
-                                                          product_calls):
+    def test_escaping_chain_entry_fails_check_b(self, l2, shrunken_chain):
         b = full_ideal(l2.algebra)
-        report = verify_paper_inclusions(compute_series(b, 6), shrunken_chain, 6,
-                                         seed=13, samples=9)
-        # three checks (b) and, with Es(L) Es_1-right nil, two checks (c)
-        assert len(product_calls) == 5 * 9
-        assert not report.ok
-        assert_same_report(report, sampled_inclusion_report(b, 6, seed=13, samples=9,
-                                                            chain=shrunken_chain))
+        report = verify_paper_inclusions(compute_series(b, 6), shrunken_chain, 6, seed=13)
+        failed = [(c.name, c.detail) for c in report.checks if not c.passed]
+        assert failed == [("weight_2_right_products_in_chain", "B^2 escapes B_2")]
+        # sampling finds the same escape, and only that one
+        oracle = sampled_inclusion_report(b, 6, seed=13, chain=shrunken_chain)
+        assert [(c.name, c.passed) for c in report.checks] == \
+            [(c.name, c.passed) for c in oracle.checks]
 
-    def test_failed_translate_inclusion_replays_the_sampling(self, nf3_bundle_without_zero,
-                                                              product_calls):
+    def test_doctored_power_fails_check_c(self, nf3_bundle_without_zero):
         bundle, chain = nf3_bundle_without_zero
-        b = bundle.ideal
-        report = verify_paper_inclusions(bundle, chain, 3, seed=2, samples=7)
-        # three checks (b) and the checks (c) for l = 2, 3
-        assert len(product_calls) == 5 * 7
-        assert report.ok
-        assert_same_report(report, sampled_inclusion_report(b, 3, seed=2, samples=7))
+        report = verify_paper_inclusions(bundle, chain, 3, seed=2)
+        failed = [(c.name, c.detail) for c in report.checks if not c.passed]
+        assert failed == [
+            ("weight_4_right_products_in_power_2_translate_2", "B^4 escapes (B^2).L^2"),
+            ("weight_6_right_products_in_power_3_translate_2", "B^6 escapes (B^3).L^2"),
+        ]
+        # the true NF_3 passes: the failure comes from the doctored table alone
+        assert sampled_inclusion_report(bundle.ideal, 3, seed=2).ok
+
 
     @pytest.mark.parametrize("argv", [
         ["l2", "--nmax", "12"],
@@ -822,9 +818,10 @@ class TestExactInclusions:
     ])
     def test_passing_profile_draws_nothing(self, argv, monkeypatch, capsys):
         def refuse(*args):
-            raise AssertionError("a passing profile sampled a product")
+            raise AssertionError("a profile drew a random scalar")
 
-        monkeypatch.setattr(series, "_random_right_product", refuse)
+        for field_class in (RationalField, PrimeField):
+            monkeypatch.setattr(field_class, "random", refuse)
         assert main(["profile", str(FIXTURES / f"{argv[0]}.json"), *argv[1:]]) == 0
         assert "inclusion checks" in capsys.readouterr().out
 
@@ -885,10 +882,6 @@ class TestIndexSandwich:
 
 
 class TestInvariants:
-    def test_inconsistent_bundle_raises(self, inconsistent_bundle):
-        with pytest.raises(ChainVerificationError, match="right/general"):
-            profile_from_series(inconsistent_bundle)
-
     def test_library_has_no_assert(self):
         # invariants must raise under python -O too, which strips asserts
         src = Path(__file__).resolve().parent.parent / "src" / "leibnil"
