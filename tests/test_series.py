@@ -809,7 +809,6 @@ class TestExactInclusions:
         # the true NF_3 passes: the failure comes from the doctored table alone
         assert sampled_inclusion_report(bundle.ideal, 3, seed=2).ok
 
-
     @pytest.mark.parametrize("argv", [
         ["l2", "--nmax", "12"],
         ["a2", "--nmax", "12"],
