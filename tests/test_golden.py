@@ -1,7 +1,8 @@
-"""Byte-level golden reports for the bundled fixtures and three generated algebras.
+"""Byte-level golden reports for the bundled fixtures and generated algebras.
 
-The files under tests/golden were written by `leibnil profile --json` and
-`leibnil check --json`; a refactor that changes any report byte fails here.
+The files under tests/golden were written by `leibnil profile` and `leibnil
+check` (stdout as .txt, `--json` as .json); a refactor that changes any
+report byte fails here.
 """
 
 import json
@@ -47,6 +48,16 @@ GENERATED = {
 }
 
 
+# `check` prints at most five failing right triples and then "... and N more";
+# this 3-dim Q algebra, with fractional and negative constants, fails 17.
+CHECK_GENERATED = {
+    "check_q3_failing": {
+        "name": "q3_failing", "dim": 3, "field": {"type": "Q"},
+        "constants": [[1, 1, 2, "1/2"], [1, 2, 3, "-2"], [2, 3, 1, "3"],
+                      [3, 1, 1, "-1/3"], [3, 3, 2, "1"]]},
+}
+
+
 # NF_5: [e_i, e_1] = e_{i+1}, with p = (3, 5, 1, 4, 2) and s = (1, -1, 1, 1, -1);
 # "tail" is span(e_2..e_5), that is span(f_5, f_1, f_4, f_2).
 NF5_SIGNED = {
@@ -83,6 +94,22 @@ def test_report_matches_golden_bytes(name, tmp_path, capsys):
     expected_code = 1 if fixture == "broken" else 0
     assert main([command, str(FIXTURES / f"{fixture}.json"), *flags,
                  "--json", str(out)]) == expected_code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(
+    [name for name in CASES if name.startswith("check_")] + list(CHECK_GENERATED)))
+def test_check_stdout_matches_golden(name, tmp_path, capsys):
+    if name in CHECK_GENERATED:
+        path = tmp_path / "algebra.json"
+        path.write_text(json.dumps(CHECK_GENERATED[name]))
+    else:
+        path = FIXTURES / f"{CASES[name][1]}.json"
+    out = tmp_path / "report.json"
+    code = main(["check", str(path), "--json", str(out)])
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert code == (0 if expected["right_leibniz"] else 1)
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
