@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Union
 
-Scalar = Union[Fraction, int]
+# `|`, not typing.Union: typing memoizes Union[...] for the life of the
+# process, which would keep these classes alive after the module is dropped
+Scalar = Fraction | int
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -127,7 +128,7 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-Field = Union[RationalField, PrimeField]
+Field = RationalField | PrimeField
 
 QQ = RationalField()
 

@@ -13,7 +13,7 @@ concrete algebra provides an independent oracle for the normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 from .algebra import AlgebraDef, bracket
 from .linalg import Subspace, Vector, contains
@@ -34,7 +34,7 @@ class Node:
     right: "ProductTree"
 
 
-ProductTree = Union[Leaf, Node]
+ProductTree = Leaf | Node
 
 
 def leaves(t: ProductTree) -> list[Leaf]:

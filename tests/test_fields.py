@@ -1,3 +1,7 @@
+import gc
+import importlib
+import sys
+import weakref
 from dataclasses import fields
 from fractions import Fraction
 
@@ -97,3 +101,19 @@ def test_field_classes_keep_their_dataclass_contract():
     assert PrimeField(5) == GF(5) and hash(PrimeField(5)) == hash(GF(5))
     assert GF(5) != GF(7) and GF(3) != QQ
     assert QQ.characteristic == 0 and GF(7).characteristic == 7
+
+
+def test_a_dropped_import_frees_its_classes(monkeypatch):
+    # a process that imports leibnil afresh, as the benchmark's set-up does,
+    # must not keep the classes of the import it dropped
+    for name in [n for n in sys.modules if n == "leibnil" or n.startswith("leibnil.")]:
+        monkeypatch.delitem(sys.modules, name)
+    importlib.import_module("leibnil.cli")
+    classes = [weakref.ref(sys.modules[module].__dict__[name])
+               for module, name in (("leibnil.fields", "PrimeField"),
+                                    ("leibnil.fields", "RationalField"),
+                                    ("leibnil.terms", "Leaf"), ("leibnil.terms", "Node"))]
+    for name in [n for n in sys.modules if n == "leibnil" or n.startswith("leibnil.")]:
+        del sys.modules[name]
+    gc.collect()
+    assert [ref() for ref in classes] == [None] * 4
