@@ -3,17 +3,18 @@
 An algebra is a dimension, a field, and the bracket table [e_i, e_j] stored
 as vectors. The nonzero structure constants are also kept per row, and
 `bracket` contracts those directly. The identity
-[x,[y,z]] = [[x,y],z] - [[x,z],y] is checked on all basis triples, which
-suffices by trilinearity. Ideals, the ideal generated by all squares [x,x],
-and products of subspaces live here too.
+[x,[y,z]] = [[x,y],z] - [[x,z],y] holds when it holds on all basis triples,
+by trilinearity. Its defect on every triple at once is summed from the
+products of two nonzero constants, so only a failing triple is bracketed.
+Ideals, the ideal generated by all squares [x,x], and products of subspaces
+live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .fields import Field, Scalar
 from .linalg import (
@@ -146,50 +147,87 @@ class VerificationReport:
         return not self.failures
 
 
-def _identity_failures(alg: AlgebraDef, side: str) -> Iterator[IdentityFailure]:
-    """Yield a failure per basis triple (i, j, k) breaking the identity, in order.
+def _failing_triples(alg: AlgebraDef, side: str) -> list[tuple[int, int, int]]:
+    """The basis triples (i, j, k), 0-based and in order, breaking the identity.
 
     side "right": [x,[y,z]] = [[x,y],z] - [[x,z],y];
     side "left":  [x,[y,z]] = [[x,y],z] + [y,[x,z]].
+    At (i, j, k), lhs - rhs has e_l coordinate
+    sum_m c_jk^m c_im^l - c_ij^m c_mk^l + c_ik^m c_mj^l on the right side, and
+    the left side ends in - c_ik^m c_jm^l. Each nonzero c_ab^m is paired with
+    the nonzero cells of row m and of column m ([e_i, e_m]), so only products
+    of two nonzero constants are formed.
+    """
+    add, sub, mul, zero = alg.field.add, alg.field.sub, alg.field.mul, alg.field.zero
+    rows = alg._rows
+    cols: list[list] = [[] for _ in rows]
+    for i, cells in enumerate(rows):
+        for m, cell in cells:
+            cols[m].append((i, cell))
+    third, third_partners = (add, rows) if side == "right" else (sub, cols)
+    defect: dict[tuple[int, int, int, int], Scalar] = {}
+    get = defect.get
+    for a, cells in enumerate(rows):
+        for b, cell in cells:
+            for m, c in cell:
+                for i, inner in cols[m]:  # c_ab^m as c_jk^m
+                    for l, d in inner:
+                        key = (i, a, b, l)
+                        defect[key] = add(get(key, zero), mul(c, d))
+                for k, inner in rows[m]:  # as c_ij^m
+                    for l, d in inner:
+                        key = (a, b, k, l)
+                        defect[key] = sub(get(key, zero), mul(c, d))
+                for j, inner in third_partners[m]:  # as c_ik^m
+                    for l, d in inner:
+                        key = (a, j, b, l)
+                        defect[key] = third(get(key, zero), mul(c, d))
+    return sorted({key[:3] for key, v in defect.items() if v})
+
+
+def _identity_report(alg: AlgebraDef, side: str) -> VerificationReport:
+    """The failures of one identity, each with its lhs and rhs built by `bracket`.
+
     Brackets of two basis vectors are table entries, so only the outer
     bracket of each term is expanded.
     """
-    t = alg.table
-    e = [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
-    for i, j, k in product(range(alg.dim), repeat=3):
-        lhs = bracket(e[i], t[j][k], alg)
+    t, e = alg.table, alg.basis_vector
+    failures = []
+    for i, j, k in _failing_triples(alg, side):
+        lhs = bracket(e(i + 1), t[j][k], alg)
         if side == "right":
-            rhs = bracket(t[i][j], e[k], alg) - bracket(t[i][k], e[j], alg)
+            rhs = bracket(t[i][j], e(k + 1), alg) - bracket(t[i][k], e(j + 1), alg)
         else:
-            rhs = bracket(t[i][j], e[k], alg) + bracket(e[j], t[i][k], alg)
-        if lhs != rhs:
-            yield IdentityFailure((i + 1, j + 1, k + 1), lhs, rhs)
+            rhs = bracket(t[i][j], e(k + 1), alg) + bracket(e(j + 1), t[i][k], alg)
+        failures.append(IdentityFailure((i + 1, j + 1, k + 1), lhs, rhs))
+    return VerificationReport(side, tuple(failures))
 
 
 def verify_right_leibniz(alg: AlgebraDef) -> VerificationReport:
     """Check [x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples."""
-    return VerificationReport("right", tuple(_identity_failures(alg, "right")))
+    return _identity_report(alg, "right")
 
 
 def is_right_leibniz(alg: AlgebraDef) -> bool:
-    """Fast boolean form of verify_right_leibniz, bailing at the first failure."""
-    return next(_identity_failures(alg, "right"), None) is None
+    """Boolean form of verify_right_leibniz, which builds no lhs or rhs."""
+    return not _failing_triples(alg, "right")
 
 
 def verify_left_leibniz(alg: AlgebraDef) -> VerificationReport:
     """Check [x,[y,z]] = [[x,y],z] + [y,[x,z]] on all basis triples."""
-    return VerificationReport("left", tuple(_identity_failures(alg, "left")))
+    return _identity_report(alg, "left")
 
 
 def is_antisymmetric(alg: AlgebraDef) -> bool:
-    """True when [e_i, e_j] = -[e_j, e_i] and [e_i, e_i] = 0 throughout."""
-    for i in range(alg.dim):
-        if not alg.table[i][i].is_zero():
-            return False
-        for j in range(alg.dim):
-            if alg.table[i][j] != -alg.table[j][i]:
-                return False
-    return True
+    """True when [e_i, e_j] = -[e_j, e_i] and [e_i, e_i] = 0 throughout.
+
+    Read off the nonzero cells: each lies off the diagonal and its transpose
+    holds its negative.
+    """
+    neg = alg.field.neg
+    cells = {(i, j): cell for i, row in enumerate(alg._rows) for j, cell in row}
+    return all(i != j and cells.get((j, i)) == tuple([(k, neg(c)) for k, c in cell])
+               for (i, j), cell in cells.items())
 
 
 def subspace_product(u: Subspace, v: Subspace, alg: AlgebraDef) -> Subspace:

@@ -11,15 +11,19 @@ three separate rules, apart from `SeriesTable.verdict`, which the library
 reads them with. `sampled_inclusion_report`
 recomputes every table and decides the inclusion checks (b) and (c) by
 sampling alone, with `random_right_product`, where the library decides them
-by exact inclusion.
+by exact inclusion. `dense_identity_failures` and `dense_is_antisymmetric`
+bracket or compare every basis triple or pair, where the library reads only
+the nonzero structure constants.
 """
 
+from itertools import product
 from random import Random
 
 from leibnil.algebra import (
     AlgebraDef,
     ChainVerificationError,
     IdealHandle,
+    IdentityFailure,
     bracket,
     es_of,
     subspace_product,
@@ -353,3 +357,34 @@ def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=Non
             f"dims {bp.dim} <= {gk.dim} <= {wk.dim}"))
 
     return InclusionReport(seed, samples, tuple(checks))
+
+
+def dense_identity_failures(alg: AlgebraDef, side: str) -> list[IdentityFailure]:
+    """The failures of one identity, by three brackets on each basis triple in order.
+
+    side "right": [x,[y,z]] = [[x,y],z] - [[x,z],y];
+    side "left":  [x,[y,z]] = [[x,y],z] + [y,[x,z]].
+    """
+    t = alg.table
+    e = [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
+    failures = []
+    for i, j, k in product(range(alg.dim), repeat=3):
+        lhs = bracket(e[i], t[j][k], alg)
+        if side == "right":
+            rhs = bracket(t[i][j], e[k], alg) - bracket(t[i][k], e[j], alg)
+        else:
+            rhs = bracket(t[i][j], e[k], alg) + bracket(e[j], t[i][k], alg)
+        if lhs != rhs:
+            failures.append(IdentityFailure((i + 1, j + 1, k + 1), lhs, rhs))
+    return failures
+
+
+def dense_is_antisymmetric(alg: AlgebraDef) -> bool:
+    """[e_i, e_j] = -[e_j, e_i] and [e_i, e_i] = 0, compared on every basis pair."""
+    for i in range(alg.dim):
+        if not alg.table[i][i].is_zero():
+            return False
+        for j in range(alg.dim):
+            if alg.table[i][j] != -alg.table[j][i]:
+                return False
+    return True

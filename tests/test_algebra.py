@@ -9,12 +9,12 @@ from leibnil import algebra
 from leibnil.algebra import (
     AlgebraDef,
     IdealHandle,
-    _identity_failures,
     algebra_from_constants,
     bracket,
     es_of,
     full_ideal,
     ideal_closure,
+    is_antisymmetric,
     is_right_leibniz,
     squares_ideal,
     subspace_product,
@@ -23,9 +23,11 @@ from leibnil.algebra import (
 )
 from leibnil.fields import GF, QQ, PrimeField
 from leibnil.linalg import Vector, contains, is_subspace_of, span, vector, zero_subspace
+from leibnil.search import sparse_tensors_exhaustive
 from leibnil.series import NEVER, nilpotency_profile
 
 from .conftest import FIXTURE_NAMES
+from .oracles import dense_identity_failures, dense_is_antisymmetric
 from .strategies import scalars, vectors
 
 
@@ -217,7 +219,7 @@ class TestIdentityVerification:
     def test_report_matches_the_identity_loop(self, alg):
         report = verify_right_leibniz(alg)
         assert report.ok == is_right_leibniz(alg)
-        assert report.failures == tuple(_identity_failures(alg, "right"))
+        assert report.failures == tuple(dense_identity_failures(alg, "right"))
         if report.ok:
             # the consequences [y,[x,x]] = 0 and [z,[x,y]] + [z,[y,x]] = 0 need no
             # check of their own: they follow from the identity on basis triples
@@ -237,6 +239,98 @@ class TestIdentityVerification:
         lhs = bracket(x, bracket(y, z, alg), alg)
         rhs = bracket(bracket(x, y, alg), z, alg) - bracket(bracket(x, z, alg), y, alg)
         assert lhs == rhs
+
+
+@st.composite
+def identity_cases(draw):
+    """A dim-1..4 tensor over Q, GF(3) or GF(5), of one of four shapes.
+
+    "sparse" has at most four nonzero cells and "dense" about half of all
+    cells; both seldom satisfy an identity. "central" has only cells
+    [e_i, e_j] = c e_dim with i, j < dim, so every double bracket vanishes
+    and both identities hold. "right" has only cells [e_i, e_1] = c e_k with
+    k >= 2, so the right identity holds and the left one usually fails.
+    """
+    field = draw(st.sampled_from([QQ, GF(3), GF(5)]))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    shape = draw(st.sampled_from(["sparse", "dense", "central", "right"]))
+    cells = list(product(range(1, dim + 1), repeat=3))
+    if shape == "central":
+        cells = [(i, j, k) for i, j, k in cells if i < dim and j < dim and k == dim]
+    elif shape == "right":
+        cells = [(i, j, k) for i, j, k in cells if j == 1 and k >= 2]
+    nonzero = scalars(field).filter(lambda c: c != 0)
+    if shape == "sparse":
+        chosen = draw(st.lists(st.sampled_from(cells), max_size=4, unique=True))
+        values = [draw(nonzero) for _ in chosen]
+    else:
+        chosen = cells
+        values = draw(st.lists(st.one_of(st.just(field.zero), nonzero),
+                               min_size=len(cells), max_size=len(cells)))
+    constants = [(i, j, k, c) for (i, j, k), c in zip(chosen, values) if c != 0]
+    return shape, algebra_from_constants(shape, dim, field, constants)
+
+
+class TestSparseIdentityCheck:
+    @given(identity_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_failures_match_the_dense_loop(self, case):
+        shape, alg = case
+        right, left = verify_right_leibniz(alg), verify_left_leibniz(alg)
+        assert right.failures == tuple(dense_identity_failures(alg, "right"))
+        assert left.failures == tuple(dense_identity_failures(alg, "left"))
+        assert is_right_leibniz(alg) == right.ok
+        if shape in ("central", "right"):
+            assert right.ok
+        if shape == "central":
+            assert left.ok
+
+    def test_every_small_gf3_tensor_matches_the_dense_loop(self):
+        # all 128 dim-2 tensors over GF(3) with one or two nonzero constants
+        field, seen = GF(3), {True: 0, False: 0}
+        for constants in sparse_tensors_exhaustive(2, 3):
+            alg = algebra_from_constants("gf3", 2, field, constants)
+            for side, verify in (("right", verify_right_leibniz), ("left", verify_left_leibniz)):
+                failures = verify(alg).failures
+                assert failures == tuple(dense_identity_failures(alg, side))
+                for failure in failures:
+                    assert failure.lhs != failure.rhs
+            seen[is_right_leibniz(alg)] += 1
+            assert is_right_leibniz(alg) == (not dense_identity_failures(alg, "right"))
+            assert is_antisymmetric(alg) == dense_is_antisymmetric(alg)
+        assert sum(seen.values()) == 128 and seen[True] and seen[False]
+
+
+@st.composite
+def antisymmetry_cases(draw):
+    """A dim-1..4 tensor that is antisymmetric by construction, sometimes broken.
+
+    Cells [e_i, e_j] with i < j get a value and [e_j, e_i] its negative; a
+    broken case then overwrites one cell, which may be on the diagonal.
+    """
+    field = draw(st.sampled_from([QQ, GF(3), GF(5)]))
+    dim = draw(st.integers(min_value=1, max_value=4))
+    index = st.integers(min_value=1, max_value=dim)
+    nonzero = scalars(field).filter(lambda c: c != 0)
+    upper = draw(st.dictionaries(st.tuples(index, index, index).filter(lambda t: t[0] < t[1]),
+                                 nonzero, max_size=6))
+    cells = {**upper, **{(j, i, k): field.neg(c) for (i, j, k), c in upper.items()}}
+    if draw(st.booleans()):
+        cells[draw(st.tuples(index, index, index))] = draw(nonzero)
+    return algebra_from_constants("anti", dim, field,
+                                  [(i, j, k, c) for (i, j, k), c in cells.items()])
+
+
+class TestAntisymmetry:
+    @given(antisymmetry_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dense_comparison(self, alg):
+        assert is_antisymmetric(alg) == dense_is_antisymmetric(alg)
+
+    def test_fixtures(self, algebras, broken):
+        assert [is_antisymmetric(algebras[name].algebra) for name in FIXTURE_NAMES] == \
+            [True, False, False, True]
+        assert not is_antisymmetric(broken.algebra)
 
 
 class TestStructureConstants:

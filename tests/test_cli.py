@@ -211,18 +211,21 @@ class TestSearch:
         assert json.loads(out_path.read_text())["partial"] is True
 
     def test_invariant_failure_names_the_candidate(self, monkeypatch, capsys):
-        def fail(bundle):
-            raise ChainVerificationError("index sandwich violated (general/strong)")
+        # compute_series raises this when the squares ideal's closure (in es_of)
+        # fails to stabilize, the one invariant on a candidate's path
+        message = "ideal closure failed to stabilize within dim+1 rounds"
 
-        monkeypatch.setattr(search, "profile_from_series", fail)
+        def fail(b, n_max):
+            raise ChainVerificationError(message)
+
+        monkeypatch.setattr(search, "compute_series", fail)
         with pytest.raises(ChainVerificationError) as exc:
             search.run_search(2, 3, 0, 0)
         first_valid = next(c for c in search.sparse_tensors_exhaustive(2, 3)
                            if is_right_leibniz(algebra_from_constants("t", 2, GF(3), c)))
-        assert str(exc.value) == (f"candidate {search._constants_key(first_valid)}: "
-                                  "index sandwich violated (general/strong)")
+        assert str(exc.value) == f"candidate {search._constants_key(first_valid)}: {message}"
         assert main(["search", "--dim", "2"]) == 1
-        assert re.search(r"^mathematical check failed: candidate [0-9,:;]+: index sandwich",
+        assert re.search(r"^mathematical check failed: candidate [0-9,:;]+: ideal closure",
                          capsys.readouterr().err, re.M)
 
     def test_filtration_failure_counts_every_valid_candidate(self, monkeypatch, capsys):
