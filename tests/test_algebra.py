@@ -286,19 +286,16 @@ class TestSparseIdentityCheck:
             assert left.ok
 
     def test_every_small_gf3_tensor_matches_the_dense_loop(self):
-        # all 128 dim-2 tensors over GF(3) with one or two nonzero constants
-        field, seen = GF(3), {True: 0, False: 0}
+        # the 128 dim-2 tensors over GF(3) with one or two nonzero constants
+        valid = 0
         for constants in sparse_tensors_exhaustive(2, 3):
-            alg = algebra_from_constants("gf3", 2, field, constants)
+            alg = algebra_from_constants("gf3", 2, GF(3), constants)
             for side, verify in (("right", verify_right_leibniz), ("left", verify_left_leibniz)):
-                failures = verify(alg).failures
-                assert failures == tuple(dense_identity_failures(alg, side))
-                for failure in failures:
-                    assert failure.lhs != failure.rhs
-            seen[is_right_leibniz(alg)] += 1
+                assert verify(alg).failures == tuple(dense_identity_failures(alg, side))
             assert is_right_leibniz(alg) == (not dense_identity_failures(alg, "right"))
             assert is_antisymmetric(alg) == dense_is_antisymmetric(alg)
-        assert sum(seen.values()) == 128 and seen[True] and seen[False]
+            valid += is_right_leibniz(alg)
+        assert valid == 20
 
 
 @st.composite
