@@ -10,6 +10,8 @@ from leibnil.linalg import span, vector
 from leibnil.series import SeriesKind, SeriesTable, bk_chain, compute_series
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+BENCH_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
 FIXTURE_NAMES = ["abelian2", "a2", "l2", "h3"]
 

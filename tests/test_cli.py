@@ -9,7 +9,7 @@ from leibnil.cli import main
 from leibnil.fields import GF
 from leibnil.series import InclusionCheck
 
-from .conftest import FIXTURE_NAMES, FIXTURES
+from .conftest import BENCH_GOLDEN, FIXTURE_NAMES, FIXTURES, GOLDEN
 
 
 def fx(name):
@@ -196,6 +196,16 @@ class TestSearch:
         assert report["valid"] > 0
         assert report["bound_violations"] == []
         assert report["left_not_right_count"] >= 1
+
+    @pytest.mark.parametrize("dim, samples", [(2, 0), (3, 5000)])
+    def test_seed0_sweep_matches_its_goldens(self, dim, samples, tmp_path, capsys):
+        # the corpus sweep: bench/golden holds the --json bytes, tests/golden the stdout
+        name = f"search_dim{dim}_samples{samples}_seed0"
+        out = tmp_path / "report.json"
+        assert main(["search", "--dim", str(dim), "--field", "F3", "--samples", str(samples),
+                     "--seed", "0", "--json", str(out)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.txt").read_text()
+        assert out.read_bytes() == (BENCH_GOLDEN / f"{name}.json").read_bytes()
 
     def test_sampled_deterministic(self, tmp_path, capsys):
         p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"

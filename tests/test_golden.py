@@ -6,15 +6,12 @@ report byte fails here.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
 from leibnil.cli import main
 
-from .conftest import FIXTURES
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
+from .conftest import FIXTURES, GOLDEN
 
 CASES = {
     "profile_abelian2": ["profile", "abelian2"],
