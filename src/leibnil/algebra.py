@@ -298,23 +298,21 @@ def full_ideal(alg: AlgebraDef) -> IdealHandle:
     return IdealHandle(alg, alg.full_space())
 
 
-# A profile asks for the squares ideal of one algebra many times and a search
-# profiles each algebra once, so a few entries serve both; an unbounded cache
-# would keep every algebra a long-lived process has seen.
+# Profiles of one algebra, one per named ideal say, share its squares ideal;
+# the bound keeps a long-lived process, such as a search, from holding every
+# algebra it has seen.
 @lru_cache(maxsize=8)
 def squares_ideal(alg: AlgebraDef) -> IdealHandle:
     """Ideal generated by all squares [x, x].
 
-    By bilinearity the squares of e_i and e_i + e_j (i < j) generate every
-    [x, x]; char 2 is excluded at field construction, matching the theory
+    [x, x] = sum_i x_i^2 [e_i, e_i] + sum_{i<j} x_i x_j ([e_i, e_j] + [e_j, e_i]),
+    so the cells t[i][i] and the sums t[i][j] + t[j][i] (i < j) generate every
+    square; char 2 is excluded at field construction, matching the theory
     this targets.
     """
-    e = [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
-    gens = [bracket(x, x, alg) for x in e]
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            s = e[i] + e[j]
-            gens.append(bracket(s, s, alg))
+    t = alg.table
+    gens = [t[i][i] for i in range(alg.dim)]
+    gens += [t[i][j] + t[j][i] for i in range(alg.dim) for j in range(i + 1, alg.dim)]
     return ideal_closure(span(gens, alg.dim, alg.field), alg)
 
 

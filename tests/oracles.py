@@ -13,7 +13,9 @@ recomputes every table and decides the inclusion checks (b) and (c) by
 sampling alone, with `random_right_product`, where the library decides them
 by exact inclusion. `dense_identity_failures` and `dense_is_antisymmetric`
 bracket or compare every basis triple or pair, where the library reads only
-the nonzero structure constants.
+the nonzero structure constants. `bracket_squares_ideal` brackets the
+squares of e_i and e_i + e_j, where the library reads the generators off the
+table.
 """
 
 from itertools import product
@@ -26,10 +28,11 @@ from leibnil.algebra import (
     IdentityFailure,
     bracket,
     es_of,
+    ideal_closure,
     subspace_product,
 )
 from leibnil.fields import Field
-from leibnil.linalg import Subspace, Vector, contains, is_subspace_of, subspace_sum
+from leibnil.linalg import Subspace, Vector, contains, is_subspace_of, span, subspace_sum
 from leibnil.series import (
     FOUND,
     NEVER,
@@ -388,3 +391,14 @@ def dense_is_antisymmetric(alg: AlgebraDef) -> bool:
             if alg.table[i][j] != -alg.table[j][i]:
                 return False
     return True
+
+
+def bracket_squares_ideal(alg: AlgebraDef) -> Subspace:
+    """The ideal generated by [x, x] for x = e_i and x = e_i + e_j (i < j)."""
+    e = [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
+    gens = [bracket(x, x, alg) for x in e]
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            s = e[i] + e[j]
+            gens.append(bracket(s, s, alg))
+    return ideal_closure(span(gens, alg.dim, alg.field), alg).space

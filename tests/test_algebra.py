@@ -27,7 +27,7 @@ from leibnil.search import sparse_tensors_exhaustive
 from leibnil.series import NEVER, nilpotency_profile
 
 from .conftest import FIXTURE_NAMES
-from .oracles import dense_identity_failures, dense_is_antisymmetric
+from .oracles import bracket_squares_ideal, dense_identity_failures, dense_is_antisymmetric
 from .strategies import scalars, vectors
 
 
@@ -434,6 +434,12 @@ class TestSquaresIdeal:
         alg = algebras[name].algebra
         x = data.draw(vectors(field=QQ, dim=alg.dim))
         assert contains(squares_ideal(alg).space, bracket(x, x, alg))
+
+    @given(identity_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_table_generators_match_the_bracketed_squares(self, case):
+        _, alg = case
+        assert squares_ideal(alg).space == bracket_squares_ideal(alg)
 
     def test_cache_stays_bounded_over_many_profiles(self):
         maxsize = squares_ideal.cache_info().maxsize
