@@ -117,10 +117,6 @@ def es_verdict_to_dict(verdict: EsNilVerdict) -> dict:
     }
 
 
-def profile_to_dict(profile: NilpotencyProfile) -> dict:
-    return asdict(profile)
-
-
 def inclusions_to_dict(report: InclusionReport) -> dict:
     return {
         "seed": report.seed,
@@ -149,7 +145,7 @@ def profile_report(ideal_name: str, bundle: SeriesBundle, chain: SeriesTable,
             "right": es_verdict_to_dict(bundle.es_right),
             "left": es_verdict_to_dict(bundle.es_left),
         },
-        "profile": profile_to_dict(profile),
+        "profile": asdict(profile),
         "inclusions": inclusions_to_dict(inclusions),
     }
 
