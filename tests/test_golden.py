@@ -2,7 +2,8 @@
 
 The files under tests/golden were written by `leibnil profile` and `leibnil
 check` (stdout as .txt, `--json` as .json); a refactor that changes any
-report byte fails here.
+report byte fails here. The `search_*.txt` stdout goldens are read by
+tests/test_cli.py, next to the corpus reports in bench/golden.
 """
 
 import json
