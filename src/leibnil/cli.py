@@ -12,6 +12,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .algebra import (
@@ -244,6 +245,7 @@ def cmd_search(args) -> int:
     return EXIT_MATH if report["filtration_violations"] else EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was; each call gets a new Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leibnil",

@@ -1,9 +1,10 @@
 """Exact scalar fields: the rationals and prime fields GF(p) with p odd.
 
-Scalars are plain values (``fractions.Fraction`` for the rationals, ``int``
-residues in ``[0, p)`` for GF(p)); all arithmetic goes through a field object
-so mixed-field data is detectable. Floating point is never used: every rank
-computation downstream depends on exact zero tests.
+Scalars are plain values: an ``int`` or a ``fractions.Fraction`` for the
+rationals (``parse`` and ``div`` give an ``int`` whenever the value is
+integral), ``int`` residues in ``[0, p)`` for GF(p). All arithmetic goes
+through a field object so mixed-field data is detectable. Floating point is
+never used: every rank computation downstream depends on exact zero tests.
 """
 
 from __future__ import annotations
@@ -30,39 +31,50 @@ def _is_odd_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class RationalField:
-    """The field of rational numbers, characteristic 0."""
+    """The field of rational numbers, characteristic 0.
+
+    ``parse`` and ``div`` return an ``int`` whenever the value is integral:
+    ``int`` arithmetic is dozens of times cheaper than ``Fraction``. An ``int``
+    and a ``Fraction`` of equal value compare, hash and print alike, so no
+    subspace or report depends on which of the two a scalar is.
+    """
 
     characteristic = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
+    def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
+    def sub(self, a: Scalar, b: Scalar) -> Scalar:
         return a - b
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
+    def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return a * b
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a: Scalar) -> Scalar:
         return -a
 
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
+    def div(self, a: Scalar, b: Scalar) -> Scalar:
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
-        return a / b
+        q = Fraction(a, b)
+        return q.numerator if q.denominator == 1 else q
 
-    def parse(self, text: str | int) -> Fraction:
+    def parse(self, text: str | int) -> Scalar:
         # Fraction("2/3"), Fraction("-7") and plain ints are all exact.
         if isinstance(text, bool) or not isinstance(text, (str, int)):
             raise ValueError(f"expected exact rational literal, got {text!r}")
-        return Fraction(text)
+        try:
+            q = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational literal {text!r}") from None
+        return q.numerator if q.denominator == 1 else q
 
-    def format(self, a: Fraction) -> str:
+    def format(self, a: Scalar) -> str:
         return str(a)
 
     def random(self, rng: Random, span: int = 3) -> Fraction:
@@ -115,7 +127,10 @@ class PrimeField:
             raise ValueError(f"expected exact GF({self.p}) literal, got {text!r}")
         if "/" in text:
             num, _, den = text.partition("/")
-            return self.div(int(num) % self.p, int(den) % self.p)
+            d = int(den) % self.p
+            if d == 0:
+                raise ValueError(f"denominator of {text!r} is zero in GF({self.p})")
+            return self.div(int(num) % self.p, d)
         return int(text) % self.p
 
     def format(self, a: int) -> str:

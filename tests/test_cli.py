@@ -46,6 +46,17 @@ class TestCheck:
                                    "constants": [[1, 1, 2, 0.5]]}))
         assert main(["check", str(bad)]) == 2
 
+    @pytest.mark.parametrize("field, literal, message", [
+        ({"type": "Q"}, "1/0", "zero denominator in rational literal '1/0'"),
+        ({"type": "Fp", "p": 3}, "1/3", "denominator of '1/3' is zero in GF(3)"),
+    ], ids=["Q", "GF3"])
+    def test_zero_denominator_is_usage_error(self, field, literal, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "x", "dim": 2, "field": field,
+                                   "constants": [[2, 1, 2, literal]]}))
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_json_report(self, tmp_path, capsys):
         out_path = tmp_path / "check.json"
         assert main(["check", fx("h3"), "--json", str(out_path)]) == 0
@@ -94,6 +105,15 @@ class TestProfile:
         path = tmp_path / "a2bad.json"
         path.write_text(json.dumps(data))
         assert main(["profile", str(path), "--ideal", "bad"]) == 2
+
+    def test_zero_denominator_in_an_ideal_is_usage_error(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "a2.json").read_text())
+        data["ideals"]["bad"] = [["0", "1/0"]]
+        path = tmp_path / "a2bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["profile", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: zero denominator in rational literal '1/0'\n"
 
     def test_broken_algebra_fails_math(self, capsys):
         assert main(["profile", fx("broken")]) == 1
@@ -178,6 +198,12 @@ class TestNormalize:
         assert main(["normalize", "a", "--algebra", fx("h3"),
                      "--assign", "a=1,0"]) == 2
 
+    def test_zero_denominator_assignment_is_usage_error(self, capsys):
+        assert main(["normalize", "a*b", "--algebra", fx("a2"),
+                     "--assign", "a=1/0,0", "--assign", "b=0,1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: zero denominator in rational literal '1/0'\n"
+
     def test_json_flag_removed(self, tmp_path, capsys):
         out_path = tmp_path / "n.json"
         with pytest.raises(SystemExit) as exc:
@@ -258,3 +284,27 @@ class TestSearch:
                                        ["--limit", "-3"]])
     def test_out_of_range_is_usage_error(self, flags, capsys):
         assert main(["search", *flags]) == 2
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_carries_between_calls(self, tmp_path, capsys):
+        assert main(["profile", fx("h3"), "--ideal", "center"]) == 0
+        assert "ideal: center" in capsys.readouterr().out
+        assert main(["profile", fx("h3")]) == 0
+        assert "ideal: full" in capsys.readouterr().out
+
+        assert main(["normalize", "a", "--algebra", fx("h3"), "--assign", "a=1,0,0"]) == 0
+        capsys.readouterr()
+        assert main(["normalize", "a*b", "--algebra", fx("h3"), "--assign", "b=0,1,0"]) == 2
+        assert capsys.readouterr().err == "error: unassigned generators: a\n"
+
+        out_path = tmp_path / "s.json"
+        assert main(["search", "--limit", "5", "--json", str(out_path)]) == 0
+        assert json.loads(out_path.read_text())["partial"] is True
+        capsys.readouterr()
+        assert main(["search", "--json", str(out_path)]) == 0
+        assert "partial" not in capsys.readouterr().out
+        assert json.loads(out_path.read_text())["partial"] is False
