@@ -35,6 +35,7 @@ from .series import (
     NEVER,
     bk_chain,
     compute_series,
+    power_levels,
     profile_from_series,
     verify_paper_inclusions,
 )
@@ -138,9 +139,10 @@ def cmd_profile(args) -> int:
               f"{_status_text(profile.right_index, profile.right_status, 'right')}")
     print(f"left powers   dims {_dims_text(bundle.left.dims())}: "
           f"{_status_text(profile.left_index, profile.left_status, 'left')}")
-    print(f"general       dims {_dims_text(bundle.general.dims())}: "
+    level_dims = _dims_text(power_levels(bundle.right, bundle.n_max).dims())
+    print(f"general       dims {level_dims}: "
           f"{_status_text(profile.general_index, profile.general_status, 'general')}")
-    print(f"strong levels dims {_dims_text(bundle.strong.dims())}: "
+    print(f"strong levels dims {level_dims}: "
           f"{_status_text(profile.strong_index, profile.strong_status, 'strong')}")
 
     es_bits = [f"Es(B) dim {bundle.es_space.dim}"]

@@ -8,7 +8,7 @@ so a fixed (input, flags, seed) triple always produces byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -20,7 +20,9 @@ from .series import (
     InclusionReport,
     NilpotencyProfile,
     SeriesBundle,
+    SeriesKind,
     SeriesTable,
+    power_levels,
 )
 
 
@@ -31,9 +33,8 @@ class LoadedAlgebra:
 
 
 def _exact_coefficient(value, where: str):
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"{where}: coefficient must be an exact int or string, got {value!r}")
-    if not isinstance(value, (int, str)):
+    # bool is an int subclass; floats fail the isinstance test
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"{where}: coefficient must be an exact int or string, got {value!r}")
     return value
 
@@ -86,7 +87,7 @@ def load_algebra_file(path: str | Path) -> LoadedAlgebra:
     text = Path(path).read_text()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return load_algebra_data(data, source=str(path))
 
@@ -128,6 +129,8 @@ def inclusions_to_dict(report: InclusionReport) -> dict:
 
 def profile_report(ideal_name: str, bundle: SeriesBundle, chain: SeriesTable,
                    profile: NilpotencyProfile, inclusions: InclusionReport) -> dict:
+    # the general powers and the strong filtration are both these levels
+    levels = power_levels(bundle.right, bundle.n_max)
     return {
         "tool": tool_stamp(),
         "algebra": algebra_stamp(bundle.ideal.algebra),
@@ -136,8 +139,8 @@ def profile_report(ideal_name: str, bundle: SeriesBundle, chain: SeriesTable,
         "series": {
             "right_powers": series_to_dict(bundle.right),
             "left_powers": series_to_dict(bundle.left),
-            "general_powers": series_to_dict(bundle.general),
-            "strong_filtration": series_to_dict(bundle.strong),
+            **{kind.value: series_to_dict(replace(levels, kind=kind))
+               for kind in (SeriesKind.GENERAL_POWERS, SeriesKind.STRONG_FILTRATION)},
             "bk_chain": series_to_dict(chain),
         },
         "es": {

@@ -10,8 +10,8 @@ Four series are read for an ideal B of an algebra L:
   least n factors in B
 
 Only the first two are computed. For an ideal B of a right Leibniz algebra
-B^<m> = B^{{m}} = B^m for every m, so the general and strong tables are read
-off the right powers:
+B^<m> = B^{{m}} = B^m for every m, so the general powers and the strong
+filtration are one view of the right powers, the table power_levels reads:
 
 * Any product is an integer combination of right words over the same leaves
   (Loday-Pirashvili), so B^<m> is spanned by right words with at least m
@@ -24,10 +24,10 @@ off the right powers:
 
 So the strong, general and right indices are equal, and the strong-index
 bound 4n^2 - 2n + 1 holds whenever the right index n exists; the profile
-reports it satisfied without a comparison. The same argument settles
-inclusion checks (b), (c) and (e), which are decided exactly, while a failed
-check (d), which multiplies the levels, would mean a bug, not a
-counterexample.
+reports it satisfied without a comparison, and the general and strong
+verdicts are the right one. The same argument settles inclusion checks (b),
+(c) and (e), which are decided exactly, while a failed check (d), which
+multiplies the levels, would mean a bug, not a counterexample.
 
 Beside these come the translate series D . L^k and L^k . D, the chain
 B_k = B^k + Es(B), and a battery of inclusion checks. Negative verdicts are
@@ -66,15 +66,6 @@ NEVER = "never"
 UNDETERMINED = "undetermined"
 
 
-# kinds whose recurrence is a function of the previous entry alone, so a
-# repeated entry is a genuine fixed point and the table extends constantly
-_ONE_STEP_KINDS = frozenset({
-    SeriesKind.RIGHT_POWERS, SeriesKind.LEFT_POWERS,
-    SeriesKind.RIGHT_TRANSLATES, SeriesKind.LEFT_TRANSLATES,
-    SeriesKind.BK_CHAIN,
-})
-
-
 @dataclass(frozen=True)
 class SeriesTable:
     kind: SeriesKind
@@ -88,17 +79,17 @@ class SeriesTable:
     def entry(self, k: int) -> Subspace:
         """Entry at index k, extending past the computed range when sound.
 
-        Zero termination extends any kind (zero is absorbing). A stabilized
-        table extends only for one-step recurrences, where a repeat really is
-        a fixed point; the general/strong tables never extend that way, and
-        an unfinished table raises KeyError past its range.
+        A table that ended at zero or at a fixed point extends constantly:
+        every table built here follows a one-step recurrence (a product
+        series, the B_k chain, or levels read off the right powers), so zero
+        is absorbing and a repeat is a genuine fixed point. An unfinished
+        table raises KeyError past its range.
         """
         for idx, s in self.entries:
             if idx == k:
                 return s
         last_k, last = self.entries[-1]
-        if k > last_k and (self.terminated_zero or
-                           (self.stabilized and self.kind in _ONE_STEP_KINDS)):
+        if k > last_k and (self.terminated_zero or self.stabilized):
             return last
         raise KeyError(f"{self.kind.value} table has no entry {k}")
 
@@ -189,15 +180,16 @@ class EsNilVerdict:
 
 @dataclass(frozen=True)
 class SeriesBundle:
-    """Every series of one ideal and its Es verdicts, computed once by compute_series."""
+    """The right and left powers of one ideal and its Es verdicts, computed once.
+
+    The general powers and the strong filtration are power_levels(right, n_max).
+    """
 
     ideal: IdealHandle
     n_max: int
     k_max: int
     right: SeriesTable
     left: SeriesTable
-    general: SeriesTable
-    strong: SeriesTable
     es_space: Subspace
     es_right: EsNilVerdict
     es_left: EsNilVerdict
@@ -269,13 +261,17 @@ class InclusionReport:
         return all(c.passed for c in self.checks)
 
 
-def filtration_check(strong: SeriesTable, alg: AlgebraDef) -> InclusionCheck:
+def filtration_check(levels: SeriesTable, alg: AlgebraDef) -> InclusionCheck:
     """Inclusion check (d): B^<i> . B^<j> inside B^<i+j> for the computed levels.
 
-    Level 0 is L. A pair whose target level lies past the table's sound range
-    is skipped. Equal levels give equal products, so each is computed once.
+    Level 0 is L. Past the last level the target is that level when it is
+    zero, which is absorbing; otherwise the pair is skipped, also past a
+    fixed point, so the pairs tested do not grow with the depth of a
+    never-nilpotent ideal. Equal levels give equal products, so each is
+    computed once.
     """
-    level = {0: alg.full_space(), **dict(strong.entries)}
+    level = {0: alg.full_space(), **dict(levels.entries)}
+    past = levels.entries[-1][1] if levels.terminated_zero else None
     products: dict[tuple[Subspace, Subspace], Subspace] = {}
     ok = True
     worst = ""
@@ -283,9 +279,8 @@ def filtration_check(strong: SeriesTable, alg: AlgebraDef) -> InclusionCheck:
         for j, right in level.items():
             if i == 0 and j == 0:
                 continue
-            try:
-                target = strong.entry(i + j)
-            except KeyError:
+            target = level.get(i + j, past)
+            if target is None:
                 continue
             p = products.get((left, right))
             if p is None:
@@ -297,18 +292,24 @@ def filtration_check(strong: SeriesTable, alg: AlgebraDef) -> InclusionCheck:
                           worst or f"all products up to level {max(level)} respected")
 
 
-def _cut(table: SeriesTable, n_max: int) -> SeriesTable:
-    """The table as if computed at n_max: entries past n_max dropped, flags re-read.
+def power_levels(right: SeriesTable, n_max: int) -> SeriesTable:
+    """B^1..B^n_max read off the right powers, stopping at the first zero level.
 
-    A table that ran past n_max neither vanished nor repeated a one-step
-    entry before it, so the flags follow from the kept entries alone.
+    These are the general powers and the strong filtration too, by the lemma
+    in the module docstring. A nonzero repeat at the end is flagged
+    stabilized; for n_max >= 2 that repeat appears exactly when the right
+    powers stop at a nonzero fixed point, so verdict() reads the same off
+    both tables.
     """
-    entries = tuple((k, s) for k, s in table.entries if k <= n_max)
-    if len(entries) == len(table.entries):
-        return table
-    last = entries[-1][1]
-    stabilized = last == entries[-2][1] and not last.is_zero()
-    return SeriesTable(table.kind, entries, stabilized, last.is_zero())
+    entries: list[tuple[int, Subspace]] = []
+    for m in range(1, n_max + 1):
+        entries.append((m, right.entry(m)))
+        if entries[-1][1].is_zero():
+            break
+    terminated_zero = entries[-1][1].is_zero()
+    stabilized = len(entries) >= 2 and entries[-1][1] == entries[-2][1] \
+        and not terminated_zero
+    return SeriesTable(SeriesKind.RIGHT_POWERS, tuple(entries), stabilized, terminated_zero)
 
 
 def _deepened(right: SeriesTable, n: int, b: IdealHandle) -> SeriesTable:
@@ -326,9 +327,10 @@ def verify_paper_inclusions(bundle: SeriesBundle, chain: SeriesTable, n_max: int
     (a) B^n inside ^nB + Es(B); (b) right products of weight n lie in
     B_n = B^n + Es(B); (c) with B Es_k-right nil, right products of weight
     >= 2l lie in (B^l).L^k; (d) B^<i> . B^<j> inside B^<i+j>;
-    (e) B^k inside B^{{k}} inside B^<k>. B is `bundle.ideal`, every table of
-    `bundle` is read as if it had been computed at n_max, which must not
-    exceed `bundle.n_max`, and `chain` is the B_k chain.
+    (e) B^k inside B^{{k}} inside B^<k>. B is `bundle.ideal`, and `chain` is
+    the B_k chain. Every check reads power_levels(bundle.right, n_max), the
+    right powers as if computed at n_max, which must not exceed
+    `bundle.n_max`; check (a) reads the left powers at indices up to n_max.
 
     Precondition: B is an ideal of a right Leibniz algebra. Then a right
     product with w factors from B, and any others from L, lies in B^w (see
@@ -336,8 +338,8 @@ def verify_paper_inclusions(bundle: SeriesBundle, chain: SeriesTable, n_max: int
     B^{2l} inside (B^l).L^k, with the right powers carried past the bundle
     when 2l lies beyond it. A passing check keeps the text of the sampled
     check it replaced; `seed` and SAMPLES are only echoed in the report. The
-    general and strong tables are the right powers, so (e) reports their one
-    dimension three times.
+    general powers and the strong filtration are the right powers, so (e)
+    reports their one dimension three times.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -345,17 +347,17 @@ def verify_paper_inclusions(bundle: SeriesBundle, chain: SeriesTable, n_max: int
         raise ValueError(f"n_max {n_max} exceeds the series depth {bundle.n_max}")
     b = bundle.ideal
     alg = b.algebra
-    rp, lp, sf = (_cut(t, n_max) for t in (bundle.right, bundle.left, bundle.strong))
+    levels = power_levels(bundle.right, n_max)
     checks: list[InclusionCheck] = []
 
     # (a) right powers inside left powers + Es(B), one sum per distinct left power
     plus_es: dict[Subspace, Subspace] = {}
     for n in range(1, n_max + 1):
-        left = lp.entry(n)
+        left = bundle.left.entry(n)
         rhs = plus_es.get(left)
         if rhs is None:
             rhs = plus_es[left] = subspace_sum(left, bundle.es_space)
-        lhs = rp.entry(n)
+        lhs = levels.entry(n)
         ok = is_subspace_of(lhs, rhs)
         checks.append(InclusionCheck(
             f"right_power_{n}_in_left_plus_es", ok,
@@ -363,7 +365,7 @@ def verify_paper_inclusions(bundle: SeriesBundle, chain: SeriesTable, n_max: int
 
     # (b) right products of weight n lie in B_n
     for n in range(1, min(3, n_max) + 1):
-        ok = is_subspace_of(rp.entry(n), chain.entry(n))
+        ok = is_subspace_of(levels.entry(n), chain.entry(n))
         checks.append(InclusionCheck(
             f"weight_{n}_right_products_in_chain", ok,
             f"{SAMPLES}/{SAMPLES} sampled products inside B_{n}" if ok
@@ -375,7 +377,7 @@ def verify_paper_inclusions(bundle: SeriesBundle, chain: SeriesTable, n_max: int
         right = bundle.right
         for ell in (k, k + 1):
             try:
-                power = rp.entry(ell)
+                power = levels.entry(ell)
             except KeyError:
                 continue
             right = _deepened(right, 2 * ell, b)
@@ -387,42 +389,23 @@ def verify_paper_inclusions(bundle: SeriesBundle, chain: SeriesTable, n_max: int
                 else f"B^{2 * ell} escapes (B^{ell}).L^{k}"))
 
     # (d) filtration levels multiply into their weight sum
-    checks.append(filtration_check(sf, alg))
+    checks.append(filtration_check(levels, alg))
 
     # (e) powers inside general powers inside the filtration, all three B^k
     for k in range(1, n_max + 1):
-        dim = rp.entry(k).dim
+        dim = levels.entry(k).dim
         checks.append(InclusionCheck(f"power_sandwich_{k}", True,
                                      f"dims {dim} <= {dim} <= {dim}"))
 
     return InclusionReport(seed, SAMPLES, tuple(checks))
 
 
-def _weight_table(kind: SeriesKind, right: SeriesTable, n_max: int) -> SeriesTable:
-    """Levels 1..n_max of the general or strong table, read off the right powers.
-
-    They equal B^m by the lemma in the module docstring. The table stops at
-    the first zero level; a nonzero repeat at the end is flagged stabilized.
-    For n_max >= 2 that repeat appears exactly when the right powers stop at
-    a nonzero fixed point, so verdict() reads NEVER off both or neither.
-    """
-    entries: list[tuple[int, Subspace]] = []
-    for m in range(1, n_max + 1):
-        entries.append((m, right.entry(m)))
-        if entries[-1][1].is_zero():
-            break
-    terminated_zero = entries[-1][1].is_zero()
-    stabilized = len(entries) >= 2 and entries[-1][1] == entries[-2][1] \
-        and not terminated_zero
-    return SeriesTable(kind, tuple(entries), stabilized, terminated_zero)
-
-
 def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> SeriesBundle:
-    """The series tables and Es translate verdicts a profile reads, for one ideal.
+    """The right and left powers and Es translate verdicts a profile reads, for one ideal.
 
-    Precondition: L is right Leibniz and B is an ideal of it. The general and
-    strong tables are then the right powers (see the module docstring); on
-    any other input they are not the series their names say.
+    Precondition: L is right Leibniz and B is an ideal of it. The general
+    powers and the strong filtration are then the right powers (see the module
+    docstring); on any other input power_levels is not the series they name.
     """
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
@@ -437,8 +420,6 @@ def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> Seri
         ideal=b, n_max=n_max, k_max=k_max,
         right=right,
         left=left_powers(b, n_max),
-        general=_weight_table(SeriesKind.GENERAL_POWERS, right, n_max),
-        strong=_weight_table(SeriesKind.STRONG_FILTRATION, right, n_max),
         es_space=es,
         es_right=_es_verdict(right_translates(es, k_max, alg)),
         es_left=_es_verdict(left_translates(es, k_max, alg)),
@@ -471,10 +452,10 @@ def index_bound(n: int) -> int:
 
 
 def profile_from_series(bundle: SeriesBundle) -> NilpotencyProfile:
+    # the general and strong verdicts are the right one, by the lemma in the
+    # module docstring; the report keeps a field for each
     right_index, right_status = bundle.right.verdict()
     left_index, left_status = bundle.left.verdict()
-    general_index, general_status = bundle.general.verdict()
-    strong_index, strong_status = bundle.strong.verdict()
 
     theorem_bound = alt_bound = bound_satisfied = None
     bound_verdict = "n/a"
@@ -488,8 +469,8 @@ def profile_from_series(bundle: SeriesBundle) -> NilpotencyProfile:
     return NilpotencyProfile(
         right_index=right_index, right_status=right_status,
         left_index=left_index, left_status=left_status,
-        general_index=general_index, general_status=general_status,
-        strong_index=strong_index, strong_status=strong_status,
+        general_index=right_index, general_status=right_status,
+        strong_index=right_index, strong_status=right_status,
         es_right_nil_k=bundle.es_right.k, es_right_definitive=bundle.es_right.definitive,
         es_left_nil_k=bundle.es_left.k, es_left_definitive=bundle.es_left.definitive,
         theorem_bound=theorem_bound, alt_bound=alt_bound,

@@ -86,18 +86,6 @@ class RightWord:
         return "[" + ",".join(leaf.label() for leaf in self.factors) + "]"
 
 
-def as_right_word(t: ProductTree) -> RightWord | None:
-    """The tree as a right word, or None if any right child is internal."""
-    rev: list[Leaf] = []
-    while isinstance(t, Node):
-        if not isinstance(t.right, Leaf):
-            return None
-        rev.append(t.right)
-        t = t.left
-    rev.append(t)
-    return RightWord(tuple(reversed(rev)))
-
-
 @dataclass(frozen=True)
 class LinComb:
     """Integer combination of right words; no zero coefficients, terms sorted."""
@@ -230,7 +218,10 @@ def parse(text: str) -> ProductTree:
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(text)
-    tree = parser.expr()
+    try:
+        tree = parser.expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", parser.peek()[2]) from None
     kind, tok, at = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected trailing input {tok!r}", at)

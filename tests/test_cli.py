@@ -212,6 +212,26 @@ class TestNormalize:
         assert not out_path.exists()
 
 
+class TestDeeplyNestedInput:
+    """Nesting past the interpreter's recursion limit is bad input, not a failed check."""
+
+    @pytest.mark.parametrize("command", ["check", "profile"])
+    def test_nested_json_is_usage_error(self, command, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main([command, str(deep)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {deep}: not valid JSON (")
+
+    def test_nested_expression_is_usage_error(self, capsys):
+        assert main(["normalize", "(" * 1200 + "a" + ")" * 1200]) == 2
+        assert re.fullmatch(r"error: expression nested too deeply \(at position \d+\)\n",
+                            capsys.readouterr().err)
+
+    def test_moderate_nesting_parses(self, capsys):
+        assert main(["normalize", "(" * 100 + "a*b" + ")" * 100]) == 0
+        assert "normal: +1*[a,b]" in capsys.readouterr().out
+
+
 class TestSearch:
     def test_dim2_exhaustive(self, capsys, tmp_path):
         out_path = tmp_path / "s.json"

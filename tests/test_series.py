@@ -1,6 +1,6 @@
 import ast
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import cache
 from itertools import combinations, product
 from pathlib import Path
@@ -40,6 +40,7 @@ from leibnil.series import (
     UNDETERMINED,
     EsNilVerdict,
     SeriesKind,
+    SeriesTable,
     bk_chain,
     compute_series,
     filtration_check,
@@ -47,6 +48,8 @@ from leibnil.series import (
     left_powers,
     left_translates,
     nilpotency_profile,
+    power_levels,
+    profile_from_series,
     right_powers,
     right_translates,
     verify_paper_inclusions,
@@ -428,8 +431,9 @@ class TestWeightTables:
         rp, gp, sf = right_powers(b, n), general_powers(b, n), strong_filtration(b, n)
         for m in range(1, n + 1):
             assert gp.entry(m) == rp.entry(m) == sf.entry(m), (b.algebra.name, m)
-        bundle = compute_series(b, n)
-        assert (bundle.general, bundle.strong) == (gp, sf)
+        levels = power_levels(compute_series(b, n).right, n)
+        for oracle in (gp, sf):
+            assert_same_table(replace(levels, kind=oracle.kind), oracle)
 
     @pytest.mark.parametrize("name,n,n_max,status", [
         ("NF", 5, 2, UNDETERMINED),
@@ -453,9 +457,9 @@ class TestWeightTables:
 
     @staticmethod
     def assert_tables_match(b, n_max):
-        bundle = compute_series(b, n_max)
-        assert_same_table(bundle.general, general_powers(b, n_max))
-        assert_same_table(bundle.strong, strong_filtration(b, n_max))
+        levels = power_levels(compute_series(b, n_max).right, n_max)
+        for oracle in (general_powers(b, n_max), strong_filtration(b, n_max)):
+            assert_same_table(replace(levels, kind=oracle.kind), oracle)
 
 
 def assert_bundle_matches_the_oracles(b, n_max, k_max):
@@ -464,8 +468,12 @@ def assert_bundle_matches_the_oracles(b, n_max, k_max):
     assert bundle.k_max == (b.algebra.dim + 1 if k_max is None else k_max)
     assert bundle.right.verdict() == oracles.one_step_status(bundle.right)
     assert bundle.left.verdict() == oracles.one_step_status(bundle.left)
-    assert (bundle.general.verdict(), bundle.strong.verdict()) == \
-        oracles.weight_statuses(bundle.right, bundle.general, bundle.strong)
+    levels = power_levels(bundle.right, n_max)
+    profile = profile_from_series(bundle)
+    assert ((profile.general_index, profile.general_status),
+            (profile.strong_index, profile.strong_status)) == \
+        (levels.verdict(), levels.verdict()) == \
+        oracles.weight_statuses(bundle.right, levels, levels)
     for verdict, side in ((bundle.es_right, "right"), (bundle.es_left, "left")):
         oracle = oracles.es_nil_index(b, side, k_max)
         assert (verdict.k, verdict.definitive) == (oracle.k, oracle.definitive), side
@@ -502,7 +510,7 @@ class TestBundleMatchesTheOracles:
     def test_undetermined_at_shallow_bounds(self, l2):
         # l2 has right index 3; NF_4 ([e_i, e_1] = e_{i+1}) has Es(L) Es_3-right nil
         bundle = assert_bundle_matches_the_oracles(full_ideal(l2.algebra), 2, None)
-        for table in (bundle.right, bundle.left, bundle.general, bundle.strong):
+        for table in (bundle.right, bundle.left, power_levels(bundle.right, 2)):
             assert table.verdict() == (None, UNDETERMINED), table.kind
         bundle = assert_bundle_matches_the_oracles(full_ideal(family("NF", 4)), 12, 1)
         assert (bundle.es_right.k, bundle.es_right.definitive) == (None, False)
@@ -652,7 +660,8 @@ class TestMonotoneChains:
     def test_decreasing_kinds_decrease(self, algebras, name):
         b = full_ideal(algebras[name].algebra)
         bundle = compute_series(b, 12)
-        for table in (bundle.right, bundle.left, bundle.strong, bk_chain(bundle)):
+        for table in (bundle.right, bundle.left, power_levels(bundle.right, 12),
+                      bk_chain(bundle)):
             entries = table.entries
             start = 1 if table.kind in (SeriesKind.RIGHT_POWERS,
                                         SeriesKind.LEFT_POWERS) else 0
@@ -685,6 +694,78 @@ class TestRandomVectorIn:
         state = rng.getstate()
         assert random_vector_in(zero_subspace(GF(5), 3), rng, GF(5)).is_zero()
         assert rng.getstate() == state
+
+
+class TestEntryExtension:
+    def test_stabilized_chain_extends_constantly(self, a2):
+        chain = bk_chain(compute_series(full_ideal(a2.algebra), 8))
+        assert chain.stabilized and not chain.terminated_zero
+        last_k, last = chain.entries[-1]
+        assert [chain.entry(k) for k in (last_k + 1, 50)] == [last, last]
+
+    def test_stabilized_translates_extend_constantly(self, a2):
+        # [e_2, e_1] = e_2, so span(e_2) . L = span(e_2) is a fixed point
+        table = right_translates(e2_line(), 5, a2.algebra)
+        assert table.stabilized and table.entries[-1][0] == 1
+        assert table.entry(2) == table.entry(50) == e2_line()
+
+    def test_unfinished_table_has_no_entry_past_its_range(self):
+        # NF_5: [e_i, e_1] = e_{i+1}, so B^4 = span(e_4, e_5) is nonzero and new
+        table = right_powers(full_ideal(family("NF", 5)), 3)
+        assert not (table.stabilized or table.terminated_zero)
+        with pytest.raises(KeyError, match="right_powers table has no entry 4"):
+            table.entry(4)
+
+
+def l2_levels(entries, stabilized, terminated_zero):
+    return SeriesTable(SeriesKind.STRONG_FILTRATION, tuple(entries), stabilized,
+                       terminated_zero)
+
+
+class TestFiltrationCheckPastTheLastLevel:
+    """Check (d) on hand-built level tables of l2, where [e_1, e_1] = e_2 is the only bracket."""
+
+    def test_zero_target_past_the_range_is_tested(self, l2):
+        # levels span(e_2), L, 0: every pair in range passes, and (2, 2) gives
+        # L . L = span(e_2), which escapes the zero level past the range
+        alg = l2.algebra
+        levels = l2_levels([(1, e2_line()), (2, alg.full_space()), (3, alg.zero_space())],
+                           False, True)
+        check = filtration_check(levels, alg)
+        assert not check.passed
+        assert check.detail == "B^<2> . B^<2> escapes B^<4>"
+
+    def test_pairs_past_a_fixed_point_are_skipped(self, l2, monkeypatch):
+        # with C = span(e_1) at levels 2 and 3, only pairs past 3 want C . C
+        alg = l2.algebra
+        c = span([qvec(1, 0)], 2)
+        levels = l2_levels([(1, alg.full_space()), (2, c), (3, c)], True, False)
+        products = []
+
+        def recording(u, v, *rest, _real=series.subspace_product):
+            products.append((u, v))
+            return _real(u, v, *rest)
+
+        monkeypatch.setattr(series, "subspace_product", recording)
+        filtration_check(levels, alg)
+        assert products and (c, c) not in products
+
+    def test_a_never_nilpotent_ideal_tests_only_the_pairs_in_range(self, a2, monkeypatch):
+        # a2's right powers stop at span(e_2): 65 pairs (i, j) != (0, 0) with
+        # i + j <= 10, not the 120 of every pair of levels 0..10
+        b = full_ideal(a2.algebra)
+        right = right_powers(b, 10)
+        levels = SeriesTable(SeriesKind.STRONG_FILTRATION,
+                             tuple((m, right.entry(m)) for m in range(1, 11)), True, False)
+        tested = []
+
+        def counting(u, w, _real=series.is_subspace_of):
+            tested.append((u, w))
+            return _real(u, w)
+
+        monkeypatch.setattr(series, "is_subspace_of", counting)
+        assert filtration_check(levels, b.algebra).passed
+        assert len(tested) == 65
 
 
 class TestInclusionChecks:

@@ -14,7 +14,6 @@ from leibnil.terms import (
     LinComb,
     Node,
     RightWord,
-    as_right_word,
     evaluate,
     leaves,
     lincomb,
@@ -28,6 +27,18 @@ from leibnil.terms import (
 
 from .conftest import FIXTURE_NAMES
 from .strategies import trees, vectors
+
+
+def as_right_word(t):
+    """The tree as a right word, or None if any right child is internal."""
+    rev = []
+    while isinstance(t, Node):
+        if not isinstance(t.right, Leaf):
+            return None
+        rev.append(t.right)
+        t = t.left
+    rev.append(t)
+    return RightWord(tuple(reversed(rev)))
 
 
 def _rewrite_leftmost_innermost(t):
