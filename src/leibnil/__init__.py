@@ -14,7 +14,6 @@ from .algebra import (
     bracket,
     es_of,
     full_ideal,
-    ideal_closure,
     is_right_leibniz,
     squares_ideal,
     subspace_product,
@@ -45,7 +44,6 @@ from .series import (
     compute_series,
     index_bound,
     left_powers,
-    left_translates,
     nilpotency_profile,
     right_powers,
     right_translates,

@@ -6,8 +6,8 @@ as vectors. The nonzero structure constants are also kept per row, and
 [x,[y,z]] = [[x,y],z] - [[x,z],y] holds when it holds on all basis triples,
 by trilinearity. Its defect on every triple at once is summed from the
 products of two nonzero constants, so only a failing triple is bracketed.
-Ideals, the ideal generated by all squares [x,x], and products of subspaces
-live here too.
+Ideals, the span of all squares [x,x] (the Leibniz kernel, an ideal that L
+annihilates from the left), and products of subspaces live here too.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .linalg import (
     is_subspace_of,
     span,
     subspace_intersect,
-    subspace_sum,
     zero_subspace,
 )
 
@@ -256,25 +255,6 @@ def _non_ideal_side(s: Subspace, alg: AlgebraDef) -> str | None:
     return None
 
 
-def ideal_closure(s: Subspace, alg: AlgebraDef) -> "IdealHandle":
-    """Smallest two-sided ideal containing s, by fixpoint iteration.
-
-    Dimensions strictly increase until stable, so at most dim(alg)+1 rounds
-    are ever needed.
-    """
-    full = alg.full_space()
-    current = s
-    for _ in range(alg.dim + 1):
-        grown = subspace_sum(current, subspace_product(current, full, alg))
-        grown = subspace_sum(grown, subspace_product(full, current, alg))
-        if grown == current:
-            return IdealHandle(alg, current)
-        if grown.dim <= current.dim:
-            raise ChainVerificationError("ideal closure failed to grow")
-        current = grown
-    raise ChainVerificationError("ideal closure failed to stabilize within dim+1 rounds")
-
-
 @dataclass(frozen=True)
 class IdealHandle:
     """A verified two-sided ideal of an algebra."""
@@ -303,19 +283,28 @@ def full_ideal(alg: AlgebraDef) -> IdealHandle:
 # algebra it has seen.
 @lru_cache(maxsize=8)
 def squares_ideal(alg: AlgebraDef) -> IdealHandle:
-    """Ideal generated by all squares [x, x].
+    """The span I of all squares [x, x], a two-sided ideal with L . I = 0.
 
     [x, x] = sum_i x_i^2 [e_i, e_i] + sum_{i<j} x_i x_j ([e_i, e_j] + [e_j, e_i]),
-    so the cells t[i][i] and the sums t[i][j] + t[j][i] (i < j) generate every
-    square; char 2 is excluded at field construction, matching the theory
-    this targets.
+    so the cells t[i][i] and the sums t[i][j] + t[j][i] (i < j) span every
+    square. I is Loday's Leibniz kernel:
+    - y = z in the right Leibniz identity gives [x,[y,y]] = 0, so L . I = 0;
+    - [[x,x],z] = [x,[x,z]] + [[x,z],x] is a symmetric sum, so a difference of squares;
+    - char 2 is excluded at field construction, matching the theory this targets.
+
+    Precondition: alg is right Leibniz, as every caller in the library has
+    verified. L . I = 0 is checked once per algebra, raising
+    ChainVerificationError otherwise, and IdealHandle checks I . L.
     """
     t = alg.table
     gens = [t[i][i] for i in range(alg.dim)]
     gens += [t[i][j] + t[j][i] for i in range(alg.dim) for j in range(i + 1, alg.dim)]
-    return ideal_closure(span(gens, alg.dim, alg.field), alg)
+    squares = span(gens, alg.dim, alg.field)
+    if not subspace_product(alg.full_space(), squares, alg).is_zero():
+        raise ChainVerificationError("L . I is not zero for the span I of the squares")
+    return IdealHandle(alg, squares)
 
 
 def es_of(b: IdealHandle) -> Subspace:
-    """Intersection of the ideal with the squares ideal of its algebra."""
+    """B meet the squares ideal; off a right Leibniz algebra it raises as squares_ideal does."""
     return subspace_intersect(b.space, squares_ideal(b.algebra).space)

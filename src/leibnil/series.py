@@ -29,7 +29,14 @@ verdicts are the right one. The same argument settles inclusion checks (b),
 (c) and (e), which are decided exactly, while a failed check (d), which
 multiplies the levels, would mean a bug, not a counterexample.
 
-Beside these come the translate series D . L^k and L^k . D, the chain
+The span I of the squares is an ideal with L . I = 0 (see squares_ideal),
+so L/I is a Lie algebra, where B^n = ^nB; hence B^n lies in ^nB + I and, by
+the modular law, in ^nB + Es(B): check (a) is a theorem too. Es(B) lies in
+I, so es_left is read off L . I = 0: k = 1, definitive. And ^nB lies in B^n,
+a left-normed word being a combination of right words, so the left index
+never exceeds the right index.
+
+Beside these come the right translate series D . L^k, the chain
 B_k = B^k + Es(B), and a battery of inclusion checks. Negative verdicts are
 reported as definitive only when they come from a genuine fixed point, never
 from an exhausted bound.
@@ -151,12 +158,6 @@ def right_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
     """D, D.L, (D.L).L, ...: spans of right products d a_k ... a_1."""
     return _product_series(SeriesKind.RIGHT_TRANSLATES, [(0, d)], alg.full_space(),
                            k_max, alg, multiply_on_right=True)
-
-
-def left_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
-    """D, L.D, L.(L.D), ...: spans of left products a_1(a_2(...(a_k d)))."""
-    return _product_series(SeriesKind.LEFT_TRANSLATES, [(0, d)], alg.full_space(),
-                           k_max, alg, multiply_on_right=False)
 
 
 @dataclass(frozen=True)
@@ -422,7 +423,9 @@ def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> Seri
         left=left_powers(b, n_max),
         es_space=es,
         es_right=_es_verdict(right_translates(es, k_max, alg)),
-        es_left=_es_verdict(left_translates(es, k_max, alg)),
+        # Es(B) lies in I, and squares_ideal checked L . I = 0
+        es_left=EsNilVerdict(1, True, SeriesTable(SeriesKind.LEFT_TRANSLATES, (
+            ((0, es),) if es.is_zero() else ((0, es), (1, alg.zero_space()))), False, True)),
     )
 
 

@@ -38,9 +38,15 @@ ProductTree = Leaf | Node
 
 
 def leaves(t: ProductTree) -> list[Leaf]:
-    if isinstance(t, Leaf):
-        return [t]
-    return leaves(t.left) + leaves(t.right)
+    """The leaves of t in order, walking each left spine and stacking right subtrees."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        while isinstance(t, Node):
+            stack.append(t.right)
+            t = t.left
+        out.append(t)
+    return out
 
 
 def measures(t: ProductTree) -> tuple[int, int]:

@@ -14,8 +14,10 @@ sampling alone, with `random_right_product`, where the library decides them
 by exact inclusion. `dense_identity_failures` and `dense_is_antisymmetric`
 bracket or compare every basis triple or pair, where the library reads only
 the nonzero structure constants. `bracket_squares_ideal` brackets the
-squares of e_i and e_i + e_j, where the library reads the generators off the
-table.
+squares of e_i and e_i + e_j and closes their span by `ideal_closure`'s
+fixpoint, where the library reads the generators off the table and checks
+that their span is already an ideal. `left_translates` multiplies out the
+left translate series of Es(B), which the library reads off L . I = 0.
 """
 
 from itertools import product
@@ -28,7 +30,6 @@ from leibnil.algebra import (
     IdentityFailure,
     bracket,
     es_of,
-    ideal_closure,
     subspace_product,
 )
 from leibnil.fields import Field
@@ -42,9 +43,9 @@ from leibnil.series import (
     InclusionReport,
     SeriesKind,
     SeriesTable,
+    _product_series,
     filtration_check,
     left_powers,
-    left_translates,
     right_powers,
     right_translates,
 )
@@ -192,6 +193,31 @@ def weight_statuses(right: SeriesTable, general: SeriesTable,
         return (None, NEVER), (None, NEVER)
     return tuple((idx, FOUND if idx is not None else UNDETERMINED)
                  for idx in (first_zero_index(general), first_zero_index(strong)))
+
+
+def ideal_closure(s: Subspace, alg: AlgebraDef) -> IdealHandle:
+    """Smallest two-sided ideal containing s, by fixpoint iteration.
+
+    Dimensions strictly increase until stable, so at most dim(alg)+1 rounds
+    are ever needed.
+    """
+    full = alg.full_space()
+    current = s
+    for _ in range(alg.dim + 1):
+        grown = subspace_sum(current, subspace_product(current, full, alg))
+        grown = subspace_sum(grown, subspace_product(full, current, alg))
+        if grown == current:
+            return IdealHandle(alg, current)
+        if grown.dim <= current.dim:
+            raise ChainVerificationError("ideal closure failed to grow")
+        current = grown
+    raise ChainVerificationError("ideal closure failed to stabilize within dim+1 rounds")
+
+
+def left_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
+    """D, L.D, L.(L.D), ...: spans of left products a_1(a_2(...(a_k d)))."""
+    return _product_series(SeriesKind.LEFT_TRANSLATES, [(0, d)], alg.full_space(),
+                           k_max, alg, multiply_on_right=False)
 
 
 def es_verdict(table: SeriesTable) -> EsNilVerdict:
@@ -393,12 +419,17 @@ def dense_is_antisymmetric(alg: AlgebraDef) -> bool:
     return True
 
 
-def bracket_squares_ideal(alg: AlgebraDef) -> Subspace:
-    """The ideal generated by [x, x] for x = e_i and x = e_i + e_j (i < j)."""
+def bracketed_squares(alg: AlgebraDef) -> Subspace:
+    """The span of [x, x] for x = e_i and x = e_i + e_j (i < j), which spans every square."""
     e = [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
     gens = [bracket(x, x, alg) for x in e]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             s = e[i] + e[j]
             gens.append(bracket(s, s, alg))
-    return ideal_closure(span(gens, alg.dim, alg.field), alg).space
+    return span(gens, alg.dim, alg.field)
+
+
+def bracket_squares_ideal(alg: AlgebraDef) -> Subspace:
+    """The ideal generated by all squares, as the closure of `bracketed_squares`."""
+    return ideal_closure(bracketed_squares(alg), alg).space

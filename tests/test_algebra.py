@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 from leibnil import algebra
 from leibnil.algebra import (
     AlgebraDef,
+    ChainVerificationError,
     IdealHandle,
     algebra_from_constants,
     bracket,
     es_of,
     full_ideal,
-    ideal_closure,
     is_antisymmetric,
     is_right_leibniz,
     squares_ideal,
@@ -27,7 +27,13 @@ from leibnil.search import sparse_tensors_exhaustive
 from leibnil.series import NEVER, nilpotency_profile
 
 from .conftest import FIXTURE_NAMES
-from .oracles import bracket_squares_ideal, dense_identity_failures, dense_is_antisymmetric
+from .oracles import (
+    bracket_squares_ideal,
+    bracketed_squares,
+    dense_identity_failures,
+    dense_is_antisymmetric,
+    ideal_closure,
+)
 from .strategies import scalars, vectors
 
 
@@ -416,6 +422,19 @@ class TestIdeals:
         assert is_subspace_of(subspace_product(full, closed, alg), closed)
 
 
+class TestLeibnizKernel:
+    @given(identity_cases().filter(lambda case: is_right_leibniz(case[1])))
+    @settings(max_examples=100, deadline=None)
+    def test_squares_span_an_ideal_annihilated_on_the_left(self, case):
+        # L . I = 0 and I . L inside I for the span I of the squares, so the
+        # closure adds nothing
+        _, alg = case
+        full, squares = alg.full_space(), bracketed_squares(alg)
+        assert subspace_product(full, squares, alg).is_zero()
+        assert is_subspace_of(subspace_product(squares, full, alg), squares)
+        assert ideal_closure(squares, alg).space == squares
+
+
 class TestSquaresIdeal:
     def test_lie_algebra_has_no_squares(self, h3):
         assert squares_ideal(h3.algebra).space.is_zero()
@@ -438,8 +457,22 @@ class TestSquaresIdeal:
     @given(identity_cases())
     @settings(max_examples=100, deadline=None)
     def test_table_generators_match_the_bracketed_squares(self, case):
+        # off the right Leibniz algebras the span of the squares may be no
+        # ideal, or not annihilated on the left; squares_ideal then raises
         _, alg = case
-        assert squares_ideal(alg).space == bracket_squares_ideal(alg)
+        try:
+            space = squares_ideal(alg).space
+        except (ChainVerificationError, ValueError):
+            assert not is_right_leibniz(alg)
+        else:
+            assert space == bracket_squares_ideal(alg)
+
+    def test_squares_not_annihilated_on_the_left_raise(self):
+        # [e1,[e1,e1]] = e1: the identity fails, and the squares span L
+        alg = algebra_from_constants("t", 2, QQ, [(1, 1, 1, QQ.one), (2, 1, 2, QQ.one)])
+        assert not is_right_leibniz(alg)
+        with pytest.raises(ChainVerificationError, match=r"^L \. I is not zero"):
+            squares_ideal(alg)
 
     def test_cache_stays_bounded_over_many_profiles(self):
         maxsize = squares_ideal.cache_info().maxsize

@@ -227,6 +227,13 @@ class TestDeeplyNestedInput:
         assert re.fullmatch(r"error: expression nested too deeply \(at position \d+\)\n",
                             capsys.readouterr().err)
 
+    def test_long_product_is_a_length_error(self, capsys):
+        # a*a*...*a parses to a left-nested tree 4,999 deep; its length is
+        # counted before the cap is applied
+        assert main(["normalize", "*".join(["a"] * 5000)]) == 2
+        assert capsys.readouterr().err == \
+            "error: term length 5000 exceeds --max-term-length 10\n"
+
     def test_moderate_nesting_parses(self, capsys):
         assert main(["normalize", "(" * 100 + "a*b" + ")" * 100]) == 0
         assert "normal: +1*[a,b]" in capsys.readouterr().out
@@ -267,9 +274,9 @@ class TestSearch:
         assert json.loads(out_path.read_text())["partial"] is True
 
     def test_invariant_failure_names_the_candidate(self, monkeypatch, capsys):
-        # compute_series raises this when the squares ideal's closure (in es_of)
-        # fails to stabilize, the one invariant on a candidate's path
-        message = "ideal closure failed to stabilize within dim+1 rounds"
+        # compute_series raises this when L does not annihilate the squares
+        # ideal (in es_of), the one invariant on a candidate's path
+        message = "L . I is not zero for the span I of the squares"
 
         def fail(b, n_max):
             raise ChainVerificationError(message)
@@ -281,7 +288,7 @@ class TestSearch:
                            if is_right_leibniz(algebra_from_constants("t", 2, GF(3), c)))
         assert str(exc.value) == f"candidate {search._constants_key(first_valid)}: {message}"
         assert main(["search", "--dim", "2"]) == 1
-        assert re.search(r"^mathematical check failed: candidate [0-9,:;]+: ideal closure",
+        assert re.search(r"^mathematical check failed: candidate [0-9,:;]+: L \. I is not",
                          capsys.readouterr().err, re.M)
 
     def test_filtration_failure_counts_every_valid_candidate(self, monkeypatch, capsys):

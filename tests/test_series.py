@@ -15,7 +15,6 @@ from leibnil.algebra import (
     algebra_from_constants,
     bracket,
     full_ideal,
-    ideal_closure,
     is_right_leibniz,
     squares_ideal,
     subspace_product,
@@ -46,7 +45,6 @@ from leibnil.series import (
     filtration_check,
     index_bound,
     left_powers,
-    left_translates,
     nilpotency_profile,
     power_levels,
     profile_from_series,
@@ -59,6 +57,8 @@ from . import oracles
 from .conftest import FIXTURE_NAMES, FIXTURES
 from .oracles import (
     general_powers,
+    ideal_closure,
+    left_translates,
     random_right_product,
     random_vector_in,
     sampled_inclusion_report,
@@ -479,6 +479,13 @@ def assert_bundle_matches_the_oracles(b, n_max, k_max):
         assert (verdict.k, verdict.definitive) == (oracle.k, oracle.definitive), side
         assert_same_table(verdict.table, oracle.table)
         assert verdict == oracles.es_verdict(verdict.table), side
+    # L . Es(B) = 0, and ^nB lies in B^n as left-normed words are combinations of right words
+    es_dim = bundle.es_space.dim
+    assert (bundle.es_left.k, bundle.es_left.definitive, bundle.es_left.table.dims()) == \
+        (1, True, [es_dim, 0] if es_dim else [0])
+    if profile.right_index is not None:
+        assert profile.left_index is not None
+        assert profile.left_index <= profile.right_index
     assert_same_table(bk_chain(bundle), oracles.bk_chain(b, n_max))
     return bundle
 
