@@ -1,8 +1,10 @@
 """Exact nilpotency analysis for finite-dimensional Leibniz algebras.
 
 Structure-constant algebras over Q or GF(p), canonical subspace arithmetic,
-the four nilpotency series with the strong-index bound made executable, a
-right-normed term rewriter with an evaluation oracle, and a CLI.
+nilpotency series with the strong-index bound made executable (only the
+right and left powers are computed; the general powers and the strong
+filtration are read off the right powers), a right-normed term rewriter with
+an evaluation oracle, and a CLI.
 """
 
 __version__ = "0.1.0"
@@ -38,7 +40,6 @@ from .linalg import (
 from .series import (
     ChainVerificationError,
     NilpotencyProfile,
-    SeriesKind,
     SeriesTable,
     bk_chain,
     compute_series,

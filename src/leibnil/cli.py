@@ -35,7 +35,6 @@ from .series import (
     NEVER,
     bk_chain,
     compute_series,
-    power_levels,
     profile_from_series,
     verify_paper_inclusions,
 )
@@ -139,7 +138,7 @@ def cmd_profile(args) -> int:
               f"{_status_text(profile.right_index, profile.right_status, 'right')}")
     print(f"left powers   dims {_dims_text(bundle.left.dims())}: "
           f"{_status_text(profile.left_index, profile.left_status, 'left')}")
-    level_dims = _dims_text(power_levels(bundle.right, bundle.n_max).dims())
+    level_dims = _dims_text(bundle.levels.dims())
     print(f"general       dims {level_dims}: "
           f"{_status_text(profile.general_index, profile.general_status, 'general')}")
     print(f"strong levels dims {level_dims}: "

@@ -18,15 +18,23 @@ from random import Random
 Scalar = Fraction | int
 
 
+# Strong probable prime tests to these bases decide primality exactly for
+# every n < 3.18e23 (Sorenson and Webster), far past the order cap 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_ORDER = 2 ** 64
+
+
 def _is_odd_prime(p: int) -> bool:
+    """Miller-Rabin on the fixed bases _WITNESSES: exact, not probabilistic, for p < 3.18e23."""
     if p < 3 or p % 2 == 0:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # p - 1 = d 2^s with d odd: a prime p has a^d = 1 or a^(d 2^r) = -1 for some r < s
+    return p in _WITNESSES or all(
+        pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+        for a in _WITNESSES)
 
 
 @dataclass(frozen=True)
@@ -86,11 +94,13 @@ class RationalField:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """GF(p) for an odd prime p; elements are int residues in [0, p)."""
+    """GF(p) for an odd prime p < 2^64; elements are int residues in [0, p)."""
 
     p: int
 
     def __post_init__(self) -> None:
+        if self.p >= MAX_ORDER:
+            raise ValueError(f"field order must be below 2^64, got {self.p}")
         if not _is_odd_prime(self.p):
             raise ValueError(f"field order must be an odd prime >= 3, got {self.p}")
 

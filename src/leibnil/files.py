@@ -8,7 +8,7 @@ so a fixed (input, flags, seed) triple always produces byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -16,13 +16,13 @@ from .algebra import AlgebraDef, algebra_from_constants
 from .fields import field_descriptor, field_from_descriptor
 from .linalg import Subspace, Vector, span
 from .series import (
+    FOUND,
+    NEVER,
     EsNilVerdict,
     InclusionReport,
     NilpotencyProfile,
     SeriesBundle,
-    SeriesKind,
     SeriesTable,
-    power_levels,
 )
 
 
@@ -100,13 +100,14 @@ def algebra_stamp(alg: AlgebraDef) -> dict:
     return {"name": alg.name, "dim": alg.dim, "field": field_descriptor(alg.field)}
 
 
-def series_to_dict(table: SeriesTable) -> dict:
+def series_to_dict(kind: str, table: SeriesTable) -> dict:
+    """The report entry of one series; `kind` is the key the report writes it under."""
     return {
-        "kind": table.kind.value,
+        "kind": kind,
         "indices": [k for k, _ in table.entries],
         "dims": table.dims(),
-        "stabilized": table.stabilized,
-        "terminated_zero": table.terminated_zero,
+        "stabilized": table.end == NEVER,
+        "terminated_zero": table.end == FOUND,
     }
 
 
@@ -129,20 +130,16 @@ def inclusions_to_dict(report: InclusionReport) -> dict:
 
 def profile_report(ideal_name: str, bundle: SeriesBundle, chain: SeriesTable,
                    profile: NilpotencyProfile, inclusions: InclusionReport) -> dict:
-    # the general powers and the strong filtration are both these levels
-    levels = power_levels(bundle.right, bundle.n_max)
+    # the general powers and the strong filtration are both the levels
+    tables = (("right_powers", bundle.right), ("left_powers", bundle.left),
+              ("general_powers", bundle.levels), ("strong_filtration", bundle.levels),
+              ("bk_chain", chain))
     return {
         "tool": tool_stamp(),
         "algebra": algebra_stamp(bundle.ideal.algebra),
         "ideal": ideal_name,
         "params": {"nmax": bundle.n_max, "kmax": bundle.k_max, "seed": inclusions.seed},
-        "series": {
-            "right_powers": series_to_dict(bundle.right),
-            "left_powers": series_to_dict(bundle.left),
-            **{kind.value: series_to_dict(replace(levels, kind=kind))
-               for kind in (SeriesKind.GENERAL_POWERS, SeriesKind.STRONG_FILTRATION)},
-            "bk_chain": series_to_dict(chain),
-        },
+        "series": {kind: series_to_dict(kind, table) for kind, table in tables},
         "es": {
             "dim": bundle.es_space.dim,
             "right": es_verdict_to_dict(bundle.es_right),

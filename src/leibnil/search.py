@@ -22,7 +22,6 @@ from .series import (
     UNDETERMINED,
     compute_series,
     filtration_check,
-    power_levels,
     profile_from_series,
 )
 
@@ -79,7 +78,7 @@ def analyze_candidate(constants: Constants, field: PrimeField, dim: int) -> dict
         "left_index": profile.left_index,
         "right_definitive": profile.right_status != UNDETERMINED,
         "strong_index": profile.strong_index,
-        "filtration_ok": filtration_check(power_levels(bundle.right, bundle.n_max), alg).passed,
+        "filtration_ok": filtration_check(bundle.levels, alg).passed,
     }
 
 

@@ -11,7 +11,8 @@ Four series are read for an ideal B of an algebra L:
 
 Only the first two are computed. For an ideal B of a right Leibniz algebra
 B^<m> = B^{{m}} = B^m for every m, so the general powers and the strong
-filtration are one view of the right powers, the table power_levels reads:
+filtration are one view of the right powers, the levels table power_levels
+reads off them once per bundle:
 
 * Any product is an integer combination of right words over the same leaves
   (Loday-Pirashvili), so B^<m> is spanned by right words with at least m
@@ -37,15 +38,14 @@ a left-normed word being a combination of right words, so the left index
 never exceeds the right index.
 
 Beside these come the right translate series D . L^k, the chain
-B_k = B^k + Es(B), and a battery of inclusion checks. Negative verdicts are
-reported as definitive only when they come from a genuine fixed point, never
-from an exhausted bound.
+B_k = B^k + Es(B), and a battery of inclusion checks. Each SeriesTable
+records how it ended: FOUND at a zero, NEVER at a genuine nonzero fixed point
+(the only definitive negative verdict), UNDETERMINED at an exhausted bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .algebra import (
     AlgebraDef,
@@ -58,16 +58,6 @@ from .algebra import (
 from .linalg import Subspace, is_subspace_of, subspace_sum
 
 
-class SeriesKind(str, Enum):
-    RIGHT_POWERS = "right_powers"
-    LEFT_POWERS = "left_powers"
-    GENERAL_POWERS = "general_powers"
-    STRONG_FILTRATION = "strong_filtration"
-    BK_CHAIN = "bk_chain"
-    RIGHT_TRANSLATES = "right_translates"
-    LEFT_TRANSLATES = "left_translates"
-
-
 FOUND = "found"
 NEVER = "never"
 UNDETERMINED = "undetermined"
@@ -75,10 +65,16 @@ UNDETERMINED = "undetermined"
 
 @dataclass(frozen=True)
 class SeriesTable:
-    kind: SeriesKind
+    """A computed series: its (index, subspace) entries and how it ended.
+
+    The indices are consecutive. `end` is FOUND when the last entry is zero,
+    NEVER when the last two entries are an equal nonzero fixed point, and
+    UNDETERMINED when the bound ran out first. Every table built here stops
+    at its first zero, except the B_k chain of the zero ideal (see bk_chain).
+    """
+
     entries: tuple[tuple[int, Subspace], ...]
-    stabilized: bool
-    terminated_zero: bool
+    end: str
 
     def dims(self) -> list[int]:
         return [s.dim for _, s in self.entries]
@@ -92,30 +88,20 @@ class SeriesTable:
         is absorbing and a repeat is a genuine fixed point. An unfinished
         table raises KeyError past its range.
         """
-        for idx, s in self.entries:
-            if idx == k:
-                return s
-        last_k, last = self.entries[-1]
-        if k > last_k and (self.terminated_zero or self.stabilized):
-            return last
-        raise KeyError(f"{self.kind.value} table has no entry {k}")
+        first, last_k = self.entries[0][0], self.entries[-1][0]
+        if first <= k <= last_k:
+            return self.entries[k - first][1]
+        if k > last_k and self.end != UNDETERMINED:
+            return self.entries[-1][1]
+        raise KeyError(f"table has no entry {k}")
 
     def verdict(self) -> tuple[int | None, str]:
-        """(index, status) read off the table.
-
-        FOUND with the index of the first zero entry; NEVER, with no index,
-        when the table stopped at a nonzero fixed point; UNDETERMINED, with
-        no index, when it ran out of range first.
-        """
-        for k, s in self.entries:
-            if s.is_zero():
-                return k, FOUND
-        return None, NEVER if self.stabilized else UNDETERMINED
+        """(index, status): with FOUND the index of the last entry, the zero one; else no index."""
+        return (self.entries[-1][0] if self.end == FOUND else None), self.end
 
 
-def _product_series(kind: SeriesKind, head: list[tuple[int, Subspace]],
-                    factor: Subspace, n_max: int, alg: AlgebraDef,
-                    multiply_on_right: bool) -> SeriesTable:
+def _product_series(head: list[tuple[int, Subspace]], factor: Subspace, n_max: int,
+                    alg: AlgebraDef, multiply_on_right: bool) -> SeriesTable:
     """Extend head by X -> X.F (resp. F.X) up to index n_max.
 
     Stops early at zero or at a repeat, which is a fixed point of the map, so
@@ -124,40 +110,37 @@ def _product_series(kind: SeriesKind, head: list[tuple[int, Subspace]],
     entries = list(head)
     n, current = entries[-1]
     if n_max < n:
-        raise ValueError(f"{kind.value} bound must be >= {n}, got {n_max}")
-    terminated_zero = current.is_zero()
-    stabilized = False
-    while not terminated_zero and not stabilized and n < n_max:
+        raise ValueError(f"series bound must be >= {n}, got {n_max}")
+    end = FOUND if current.is_zero() else UNDETERMINED
+    while end == UNDETERMINED and n < n_max:
         if multiply_on_right:
             nxt = subspace_product(current, factor, alg)
         else:
             nxt = subspace_product(factor, current, alg)
         n += 1
         entries.append((n, nxt))
-        terminated_zero = nxt.is_zero()
-        stabilized = nxt == current
+        end = FOUND if nxt.is_zero() else NEVER if nxt == current else UNDETERMINED
         current = nxt
-    return SeriesTable(kind, tuple(entries), stabilized, terminated_zero)
+    return SeriesTable(tuple(entries), end)
 
 
 def right_powers(b: IdealHandle, n_max: int) -> SeriesTable:
     """B^0 = L, B^1 = B, B^{n+1} = B^n . B, stopping early at zero or a fixed point."""
     alg = b.algebra
-    return _product_series(SeriesKind.RIGHT_POWERS, [(0, alg.full_space()), (1, b.space)],
-                           b.space, n_max, alg, multiply_on_right=True)
+    return _product_series([(0, alg.full_space()), (1, b.space)], b.space, n_max, alg,
+                           multiply_on_right=True)
 
 
 def left_powers(b: IdealHandle, n_max: int) -> SeriesTable:
     """^0B = L, ^1B = B, ^{1+n}B = B . ^nB, the left-sided dual."""
     alg = b.algebra
-    return _product_series(SeriesKind.LEFT_POWERS, [(0, alg.full_space()), (1, b.space)],
-                           b.space, n_max, alg, multiply_on_right=False)
+    return _product_series([(0, alg.full_space()), (1, b.space)], b.space, n_max, alg,
+                           multiply_on_right=False)
 
 
 def right_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
     """D, D.L, (D.L).L, ...: spans of right products d a_k ... a_1."""
-    return _product_series(SeriesKind.RIGHT_TRANSLATES, [(0, d)], alg.full_space(),
-                           k_max, alg, multiply_on_right=True)
+    return _product_series([(0, d)], alg.full_space(), k_max, alg, multiply_on_right=True)
 
 
 @dataclass(frozen=True)
@@ -181,9 +164,10 @@ class EsNilVerdict:
 
 @dataclass(frozen=True)
 class SeriesBundle:
-    """The right and left powers of one ideal and its Es verdicts, computed once.
+    """The right and left powers of one ideal, its levels and Es verdicts, computed once.
 
-    The general powers and the strong filtration are power_levels(right, n_max).
+    `levels` is power_levels(right, n_max): the general powers and the strong
+    filtration, which the report writes under both names.
     """
 
     ideal: IdealHandle
@@ -191,6 +175,7 @@ class SeriesBundle:
     k_max: int
     right: SeriesTable
     left: SeriesTable
+    levels: SeriesTable
     es_space: Subspace
     es_right: EsNilVerdict
     es_left: EsNilVerdict
@@ -208,24 +193,24 @@ def bk_chain(bundle: SeriesBundle) -> SeriesTable:
     Each entry other than L and B, which are ideals already, is re-verified
     to be a two-sided ideal, and the chain to be decreasing; a failure would
     contradict the theory on a verified algebra, so it is raised as
-    ChainVerificationError rather than reported. The stabilized flag is set
-    only once the underlying power series has stopped, which makes the
-    constant extension in entry() sound.
+    ChainVerificationError rather than reported. The chain ends NEVER only
+    once the underlying power series has stopped, which makes the constant
+    extension in entry() sound. B_2 is always computed, so for B = 0 the chain
+    is L, 0, 0 and its verdict reads 2; no report reads that verdict.
     """
     b, powers, es = bundle.ideal, bundle.right, bundle.es_space
     alg = b.algebra
     entries: list[tuple[int, Subspace]] = [(0, alg.full_space()), (1, b.space)]
-    terminated_zero = False
-    stabilized = False
+    end = UNDETERMINED
     for k in range(2, bundle.n_max + 1):
         bk = subspace_sum(powers.entry(k), es)
         entries.append((k, bk))
         if bk.is_zero():
-            terminated_zero = True
+            end = FOUND
             break
         if bk == entries[-2][1] and powers.entries[-1][0] <= k:
             # underlying power series has already stopped, so B_k is constant now
-            stabilized = True
+            end = NEVER
             break
     checked = {alg.full_space(), b.space}
     for k, space in entries[2:]:
@@ -236,7 +221,7 @@ def bk_chain(bundle: SeriesBundle) -> SeriesTable:
     for (k, upper), (_, lower) in zip(entries, entries[1:]):
         if not is_subspace_of(lower, upper):
             raise ChainVerificationError(f"B_{k} does not contain B_{k + 1}")
-    return SeriesTable(SeriesKind.BK_CHAIN, tuple(entries), stabilized, terminated_zero)
+    return SeriesTable(tuple(entries), end)
 
 
 # the sample count of the sampled checks (b) and (c) that the exact ones
@@ -272,7 +257,7 @@ def filtration_check(levels: SeriesTable, alg: AlgebraDef) -> InclusionCheck:
     computed once.
     """
     level = {0: alg.full_space(), **dict(levels.entries)}
-    past = levels.entries[-1][1] if levels.terminated_zero else None
+    past = levels.entries[-1][1] if levels.end == FOUND else None
     products: dict[tuple[Subspace, Subspace], Subspace] = {}
     ok = True
     worst = ""
@@ -297,28 +282,27 @@ def power_levels(right: SeriesTable, n_max: int) -> SeriesTable:
     """B^1..B^n_max read off the right powers, stopping at the first zero level.
 
     These are the general powers and the strong filtration too, by the lemma
-    in the module docstring. A nonzero repeat at the end is flagged
-    stabilized; for n_max >= 2 that repeat appears exactly when the right
-    powers stop at a nonzero fixed point, so verdict() reads the same off
-    both tables.
+    in the module docstring. A nonzero repeat at the end ends the table
+    NEVER; at the depth the right powers were computed to, n_max >= 2, that
+    repeat appears exactly when they stop at a nonzero fixed point, so
+    verdict() reads the same off both tables.
     """
     entries: list[tuple[int, Subspace]] = []
     for m in range(1, n_max + 1):
         entries.append((m, right.entry(m)))
         if entries[-1][1].is_zero():
             break
-    terminated_zero = entries[-1][1].is_zero()
-    stabilized = len(entries) >= 2 and entries[-1][1] == entries[-2][1] \
-        and not terminated_zero
-    return SeriesTable(SeriesKind.RIGHT_POWERS, tuple(entries), stabilized, terminated_zero)
+    last = entries[-1][1]
+    end = FOUND if last.is_zero() else \
+        NEVER if len(entries) >= 2 and last == entries[-2][1] else UNDETERMINED
+    return SeriesTable(tuple(entries), end)
 
 
 def _deepened(right: SeriesTable, n: int, b: IdealHandle) -> SeriesTable:
     """The right powers of B read to index n, computing the entries `right` lacks."""
-    if right.entries[-1][0] >= n or right.terminated_zero or right.stabilized:
+    if right.entries[-1][0] >= n or right.end != UNDETERMINED:
         return right
-    return _product_series(SeriesKind.RIGHT_POWERS, list(right.entries), b.space, n,
-                           b.algebra, multiply_on_right=True)
+    return _product_series(list(right.entries), b.space, n, b.algebra, multiply_on_right=True)
 
 
 def verify_paper_inclusions(bundle: SeriesBundle, chain: SeriesTable, n_max: int,
@@ -421,11 +405,12 @@ def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> Seri
         ideal=b, n_max=n_max, k_max=k_max,
         right=right,
         left=left_powers(b, n_max),
+        levels=power_levels(right, n_max),
         es_space=es,
         es_right=_es_verdict(right_translates(es, k_max, alg)),
         # Es(B) lies in I, and squares_ideal checked L . I = 0
-        es_left=EsNilVerdict(1, True, SeriesTable(SeriesKind.LEFT_TRANSLATES, (
-            ((0, es),) if es.is_zero() else ((0, es), (1, alg.zero_space()))), False, True)),
+        es_left=EsNilVerdict(1, True, SeriesTable(
+            ((0, es),) if es.is_zero() else ((0, es), (1, alg.zero_space())), FOUND)),
     )
 
 

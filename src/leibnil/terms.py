@@ -245,9 +245,9 @@ def potential(t: ProductTree) -> int:
     the sum over internal nodes of C(#leaves(right), 2).
 
     Rewriting drops the measure by exactly #y * #z >= 1 in both replacement
-    terms, and the measure is zero exactly on right words. `normalize` no
-    longer rewrites; the tests and the benchmark use the measure to bound
-    and classify terms.
+    terms, and the measure is zero exactly on right words. The tests'
+    one-redex-at-a-time reference rewriter asserts that drop at every step,
+    and the benchmark's rewrite workload caps the shapes it draws by it.
     """
     if isinstance(t, Leaf):
         return 0

@@ -7,7 +7,7 @@ from leibnil.algebra import algebra_from_constants, full_ideal
 from leibnil.fields import QQ
 from leibnil.files import load_algebra_file
 from leibnil.linalg import span, vector
-from leibnil.series import SeriesKind, SeriesTable, bk_chain, compute_series
+from leibnil.series import FOUND, NEVER, UNDETERMINED, SeriesTable, bk_chain, compute_series
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -59,8 +59,8 @@ def h3_bundle_with_non_ideal_b2(h3):
     Es(h3) = 0, so the B_k chain has B_2 = span(e1), which is not an ideal.
     """
     bundle = compute_series(full_ideal(h3.algebra), 2)
-    right = SeriesTable(SeriesKind.RIGHT_POWERS, bundle.right.entries[:2] +
-                        ((2, span([vector(QQ, [1, 0, 0])], 3)),), False, False)
+    right = SeriesTable(bundle.right.entries[:2] + ((2, span([vector(QQ, [1, 0, 0])], 3)),),
+                        UNDETERMINED)
     return replace(bundle, right=right)
 
 
@@ -69,7 +69,7 @@ def shrunken_chain(l2):
     """l2's B_k chain with B_2 = 0, so B^2 = span(e_2) escapes B_2."""
     b = full_ideal(l2.algebra)
     entries = bk_chain(compute_series(b, 8)).entries[:2] + ((2, l2.algebra.zero_space()),)
-    return SeriesTable(SeriesKind.BK_CHAIN, entries, False, True)
+    return SeriesTable(entries, FOUND)
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +77,7 @@ def nf3_bundle_without_zero():
     """NF_3 with its right powers frozen at B^3 = span(e_3) past the cut at 3.
 
     NF_3: [e_i, e_1] = e_{i+1}. Its true B^4 is 0; the table claims B^4 = B^3
-    and, stabilized, every later power too, so B^4 escapes (B^2).L^2 = 0 and
+    and, ending NEVER, every later power too, so B^4 escapes (B^2).L^2 = 0 and
     B^6 escapes (B^3).L^2 = 0, while every entry up to 3 is true. The B_k
     chain comes with it, built from the true series.
     """
@@ -85,6 +85,5 @@ def nf3_bundle_without_zero():
     b = full_ideal(alg)
     bundle = compute_series(b, 8)
     e3 = span([vector(QQ, [0, 0, 1])], 3)
-    right = SeriesTable(SeriesKind.RIGHT_POWERS, bundle.right.entries[:4] + ((4, e3),),
-                        True, False)
+    right = SeriesTable(bundle.right.entries[:4] + ((4, e3),), NEVER)
     return replace(bundle, right=right), bk_chain(bundle)

@@ -41,7 +41,6 @@ from leibnil.series import (
     EsNilVerdict,
     InclusionCheck,
     InclusionReport,
-    SeriesKind,
     SeriesTable,
     _product_series,
     filtration_check,
@@ -49,6 +48,13 @@ from leibnil.series import (
     right_powers,
     right_translates,
 )
+
+
+def _table(entries: list[tuple[int, Subspace]], stabilized: bool,
+           terminated_zero: bool) -> SeriesTable:
+    """A table whose end is read off the oracle's own two flags."""
+    end = FOUND if terminated_zero else NEVER if stabilized else UNDETERMINED
+    return SeriesTable(tuple(entries), end)
 
 
 class _Products:
@@ -113,8 +119,7 @@ def general_powers(b: IdealHandle, n_max: int) -> SeriesTable:
         terminated_zero = acc.is_zero()
     stabilized = len(entries) >= 2 and entries[-1][1] == entries[-2][1] \
         and not terminated_zero
-    return SeriesTable(SeriesKind.GENERAL_POWERS, tuple(entries), stabilized,
-                       terminated_zero)
+    return _table(entries, stabilized, terminated_zero)
 
 
 def strong_filtration(b: IdealHandle, n_max: int) -> SeriesTable:
@@ -164,8 +169,7 @@ def strong_filtration(b: IdealHandle, n_max: int) -> SeriesTable:
             break
     stabilized = len(entries) >= 2 and entries[-1][1] == entries[-2][1] \
         and not terminated_zero
-    return SeriesTable(SeriesKind.STRONG_FILTRATION, tuple(entries), stabilized,
-                       terminated_zero)
+    return _table(entries, stabilized, terminated_zero)
 
 
 def first_zero_index(table: SeriesTable) -> int | None:
@@ -177,11 +181,11 @@ def first_zero_index(table: SeriesTable) -> int | None:
 
 
 def one_step_status(table: SeriesTable) -> tuple[int | None, str]:
-    """The right or left power verdict: FOUND at a zero, NEVER when stabilized."""
+    """The right or left power verdict: FOUND at a zero, NEVER when it ended at a fixed point."""
     idx = first_zero_index(table)
     if idx is not None:
         return idx, FOUND
-    return None, NEVER if table.stabilized else UNDETERMINED
+    return None, NEVER if table.end == NEVER else UNDETERMINED
 
 
 def weight_statuses(right: SeriesTable, general: SeriesTable,
@@ -216,8 +220,7 @@ def ideal_closure(s: Subspace, alg: AlgebraDef) -> IdealHandle:
 
 def left_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
     """D, L.D, L.(L.D), ...: spans of left products a_1(a_2(...(a_k d)))."""
-    return _product_series(SeriesKind.LEFT_TRANSLATES, [(0, d)], alg.full_space(),
-                           k_max, alg, multiply_on_right=False)
+    return _product_series([(0, d)], alg.full_space(), k_max, alg, multiply_on_right=False)
 
 
 def es_verdict(table: SeriesTable) -> EsNilVerdict:
@@ -225,7 +228,7 @@ def es_verdict(table: SeriesTable) -> EsNilVerdict:
     for k, s in table.entries:
         if s.is_zero():
             return EsNilVerdict(max(k, 1), True, table)
-    return EsNilVerdict(None, table.stabilized, table)
+    return EsNilVerdict(None, table.end == NEVER, table)
 
 
 def es_nil_index(b: IdealHandle, side: str, k_max: int | None = None) -> EsNilVerdict:
@@ -283,7 +286,7 @@ def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:
     for (k, upper), (_, lower) in zip(entries, entries[1:]):
         if not is_subspace_of(lower, upper):
             raise ChainVerificationError(f"B_{k} does not contain B_{k + 1}")
-    return SeriesTable(SeriesKind.BK_CHAIN, tuple(entries), stabilized, terminated_zero)
+    return _table(entries, stabilized, terminated_zero)
 
 
 def random_vector_in(space: Subspace, rng: Random, field: Field) -> Vector:

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import math
 import sys
 import weakref
 from dataclasses import fields
@@ -14,15 +15,34 @@ from leibnil.linalg import Vector, span
 from .strategies import scalars, small_fields
 
 
-@pytest.mark.parametrize("p", [2, 1, 0, 4, 9, 15, -3])
+@pytest.mark.parametrize("p", [
+    2, 1, 0, 4, 9, 15, -3,
+    # Carmichael numbers, a strong pseudoprime to bases 2, 3, 5 and 7, and a
+    # product of two large primes
+    561, 41041, 3215031751, (10 ** 9 + 7) * (10 ** 9 + 9),
+    # the least prime above the order cap 2^64
+    2 ** 64 + 13,
+])
 def test_bad_field_orders_rejected(p):
     with pytest.raises(ValueError):
         PrimeField(p)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101, 10 ** 18 + 3, 2 ** 61 - 1])
 def test_odd_primes_accepted(p):
     assert GF(p).p == p
+
+
+def test_order_check_agrees_with_trial_division():
+    def is_odd_prime(p):
+        return p > 2 and p % 2 == 1 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+    for p in range(-3, 20_000):
+        if is_odd_prime(p):
+            assert GF(p).p == p
+        else:
+            with pytest.raises(ValueError):
+                PrimeField(p)
 
 
 def test_rational_parse_and_format():

@@ -1,6 +1,6 @@
 import ast
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import cache
 from itertools import combinations, product
 from pathlib import Path
@@ -38,7 +38,6 @@ from leibnil.series import (
     NEVER,
     UNDETERMINED,
     EsNilVerdict,
-    SeriesKind,
     SeriesTable,
     bk_chain,
     compute_series,
@@ -254,10 +253,8 @@ def inclusions(b, depth, n_max, **kwargs):
 
 
 def assert_same_table(table, oracle):
-    assert table.kind == oracle.kind
     assert table.entries == oracle.entries
-    assert table.stabilized == oracle.stabilized
-    assert table.terminated_zero == oracle.terminated_zero
+    assert table.end == oracle.end
 
 
 def assert_same_report(report, oracle):
@@ -270,12 +267,12 @@ class TestRightPowers:
     def test_abelian_squares_to_zero(self, abelian2):
         table = right_powers(full_ideal(abelian2.algebra), 10)
         assert table.dims() == [2, 2, 0]
-        assert table.terminated_zero and table.verdict()[0] == 2
+        assert table.end == FOUND and table.verdict()[0] == 2
 
     def test_a2_stabilizes_nonzero(self, a2):
         table = right_powers(full_ideal(a2.algebra), 10)
         assert table.dims() == [2, 2, 1, 1]
-        assert table.stabilized and not table.terminated_zero
+        assert table.end == NEVER
         assert table.verdict()[0] is None
         # fixed-point soundness: one more product step changes nothing
         fix = table.entries[-1][1]
@@ -352,7 +349,7 @@ class TestStrongFiltration:
     def test_a2_levels_freeze_at_the_line(self, a2):
         table = strong_filtration(full_ideal(a2.algebra), 8)
         assert table.dims() == [2] + [1] * 7
-        assert table.stabilized and not table.terminated_zero
+        assert table.end == NEVER
 
     @pytest.mark.parametrize("name,levels,max_len", [
         ("abelian2", (1, 2), 2),
@@ -377,7 +374,7 @@ class TestStrongFiltration:
         # S_n: its levels freeze at a nonzero ideal
         alg = family("S", n)
         b = full_ideal(alg)
-        assert strong_filtration(b, 12).stabilized
+        assert strong_filtration(b, 12).end == NEVER
         self.assert_matches_graded_recurrence(b)
         self.assert_matches_graded_recurrence(squares_ideal(alg))
 
@@ -433,7 +430,7 @@ class TestWeightTables:
             assert gp.entry(m) == rp.entry(m) == sf.entry(m), (b.algebra.name, m)
         levels = power_levels(compute_series(b, n).right, n)
         for oracle in (gp, sf):
-            assert_same_table(replace(levels, kind=oracle.kind), oracle)
+            assert_same_table(levels, oracle)
 
     @pytest.mark.parametrize("name,n,n_max,status", [
         ("NF", 5, 2, UNDETERMINED),
@@ -459,7 +456,22 @@ class TestWeightTables:
     def assert_tables_match(b, n_max):
         levels = power_levels(compute_series(b, n_max).right, n_max)
         for oracle in (general_powers(b, n_max), strong_filtration(b, n_max)):
-            assert_same_table(replace(levels, kind=oracle.kind), oracle)
+            assert_same_table(levels, oracle)
+
+
+def assert_table_shape(table):
+    """The shape SeriesTable.entry and .verdict rely on, checked without them.
+
+    Consecutive indices; FOUND exactly when the last entry is zero, and no
+    earlier entry is; NEVER only at a repeat of a nonzero last entry.
+    """
+    indices = [k for k, _ in table.entries]
+    assert indices == list(range(indices[0], indices[0] + len(indices)))
+    zero = [s.is_zero() for _, s in table.entries]
+    assert (table.end == FOUND) == zero[-1]
+    assert not any(zero[:-1])
+    if table.end == NEVER:
+        assert len(table.entries) >= 2 and table.entries[-1][1] == table.entries[-2][1]
 
 
 def assert_bundle_matches_the_oracles(b, n_max, k_max):
@@ -468,7 +480,18 @@ def assert_bundle_matches_the_oracles(b, n_max, k_max):
     assert bundle.k_max == (b.algebra.dim + 1 if k_max is None else k_max)
     assert bundle.right.verdict() == oracles.one_step_status(bundle.right)
     assert bundle.left.verdict() == oracles.one_step_status(bundle.left)
-    levels = power_levels(bundle.right, n_max)
+    levels = bundle.levels
+    assert levels == power_levels(bundle.right, n_max)
+    chain = bk_chain(bundle)
+    for table in (bundle.right, bundle.left, levels, bundle.es_right.table,
+                  bundle.es_left.table):
+        assert_table_shape(table)
+    if b.space.is_zero():
+        # B_2 is always computed, so the chain of B = 0 repeats its zero once
+        assert chain == SeriesTable(((0, b.algebra.full_space()), (1, b.space), (2, b.space)),
+                                    FOUND)
+    else:
+        assert_table_shape(chain)
     profile = profile_from_series(bundle)
     assert ((profile.general_index, profile.general_status),
             (profile.strong_index, profile.strong_status)) == \
@@ -486,7 +509,7 @@ def assert_bundle_matches_the_oracles(b, n_max, k_max):
     if profile.right_index is not None:
         assert profile.left_index is not None
         assert profile.left_index <= profile.right_index
-    assert_same_table(bk_chain(bundle), oracles.bk_chain(b, n_max))
+    assert_same_table(chain, oracles.bk_chain(b, n_max))
     return bundle
 
 
@@ -517,13 +540,14 @@ class TestBundleMatchesTheOracles:
     def test_undetermined_at_shallow_bounds(self, l2):
         # l2 has right index 3; NF_4 ([e_i, e_1] = e_{i+1}) has Es(L) Es_3-right nil
         bundle = assert_bundle_matches_the_oracles(full_ideal(l2.algebra), 2, None)
-        for table in (bundle.right, bundle.left, power_levels(bundle.right, 2)):
-            assert table.verdict() == (None, UNDETERMINED), table.kind
+        for table in (bundle.right, bundle.left, bundle.levels):
+            assert table.verdict() == (None, UNDETERMINED)
         bundle = assert_bundle_matches_the_oracles(full_ideal(family("NF", 4)), 12, 1)
         assert (bundle.es_right.k, bundle.es_right.definitive) == (None, False)
 
     def test_zero_es_is_nil_at_one(self, h3):
         # h3 is a Lie algebra, so its squares ideal and Es(L) are 0
+        assert_bundle_matches_the_oracles(squares_ideal(h3.algebra), 12, None)
         bundle = assert_bundle_matches_the_oracles(full_ideal(h3.algebra), 12, None)
         assert bundle.es_space.is_zero()
         for verdict in (bundle.es_right, bundle.es_left):
@@ -585,11 +609,11 @@ class TestTranslates:
     def test_zero_space_stays_zero(self, a2):
         alg = a2.algebra
         table = right_translates(zero_subspace(QQ, 2), 5, alg)
-        assert table.terminated_zero and table.entries == ((0, zero_subspace(QQ, 2)),)
+        assert table.end == FOUND and table.entries == ((0, zero_subspace(QQ, 2)),)
 
     def test_a2_e2_line_is_a_right_fixed_point(self, a2):
         table = right_translates(e2_line(), 5, a2.algebra)
-        assert table.stabilized and not table.terminated_zero
+        assert table.end == NEVER
         assert table.dims() == [1, 1]
 
     def test_a2_e2_line_dies_on_the_left(self, a2):
@@ -667,15 +691,13 @@ class TestMonotoneChains:
     def test_decreasing_kinds_decrease(self, algebras, name):
         b = full_ideal(algebras[name].algebra)
         bundle = compute_series(b, 12)
-        for table in (bundle.right, bundle.left, power_levels(bundle.right, 12),
-                      bk_chain(bundle)):
+        for table, start in ((bundle.right, 1), (bundle.left, 1), (bundle.levels, 0),
+                             (bk_chain(bundle), 0)):
             entries = table.entries
-            start = 1 if table.kind in (SeriesKind.RIGHT_POWERS,
-                                        SeriesKind.LEFT_POWERS) else 0
             pairs = list(zip(entries, entries[1:]))
             for (k, upper), (_, lower) in pairs:
                 if k >= start:
-                    assert is_subspace_of(lower, upper), (name, table.kind, k)
+                    assert is_subspace_of(lower, upper), (name, start, k)
 
 
 def fold_random_vector_in(space, rng, field):
@@ -706,27 +728,26 @@ class TestRandomVectorIn:
 class TestEntryExtension:
     def test_stabilized_chain_extends_constantly(self, a2):
         chain = bk_chain(compute_series(full_ideal(a2.algebra), 8))
-        assert chain.stabilized and not chain.terminated_zero
+        assert chain.end == NEVER
         last_k, last = chain.entries[-1]
         assert [chain.entry(k) for k in (last_k + 1, 50)] == [last, last]
 
     def test_stabilized_translates_extend_constantly(self, a2):
         # [e_2, e_1] = e_2, so span(e_2) . L = span(e_2) is a fixed point
         table = right_translates(e2_line(), 5, a2.algebra)
-        assert table.stabilized and table.entries[-1][0] == 1
+        assert table.end == NEVER and table.entries[-1][0] == 1
         assert table.entry(2) == table.entry(50) == e2_line()
 
     def test_unfinished_table_has_no_entry_past_its_range(self):
         # NF_5: [e_i, e_1] = e_{i+1}, so B^4 = span(e_4, e_5) is nonzero and new
         table = right_powers(full_ideal(family("NF", 5)), 3)
-        assert not (table.stabilized or table.terminated_zero)
-        with pytest.raises(KeyError, match="right_powers table has no entry 4"):
+        assert table.end == UNDETERMINED
+        with pytest.raises(KeyError, match="table has no entry 4"):
             table.entry(4)
 
 
-def l2_levels(entries, stabilized, terminated_zero):
-    return SeriesTable(SeriesKind.STRONG_FILTRATION, tuple(entries), stabilized,
-                       terminated_zero)
+def l2_levels(entries, end):
+    return SeriesTable(tuple(entries), end)
 
 
 class TestFiltrationCheckPastTheLastLevel:
@@ -737,7 +758,7 @@ class TestFiltrationCheckPastTheLastLevel:
         # L . L = span(e_2), which escapes the zero level past the range
         alg = l2.algebra
         levels = l2_levels([(1, e2_line()), (2, alg.full_space()), (3, alg.zero_space())],
-                           False, True)
+                           FOUND)
         check = filtration_check(levels, alg)
         assert not check.passed
         assert check.detail == "B^<2> . B^<2> escapes B^<4>"
@@ -746,7 +767,7 @@ class TestFiltrationCheckPastTheLastLevel:
         # with C = span(e_1) at levels 2 and 3, only pairs past 3 want C . C
         alg = l2.algebra
         c = span([qvec(1, 0)], 2)
-        levels = l2_levels([(1, alg.full_space()), (2, c), (3, c)], True, False)
+        levels = l2_levels([(1, alg.full_space()), (2, c), (3, c)], NEVER)
         products = []
 
         def recording(u, v, *rest, _real=series.subspace_product):
@@ -762,8 +783,7 @@ class TestFiltrationCheckPastTheLastLevel:
         # i + j <= 10, not the 120 of every pair of levels 0..10
         b = full_ideal(a2.algebra)
         right = right_powers(b, 10)
-        levels = SeriesTable(SeriesKind.STRONG_FILTRATION,
-                             tuple((m, right.entry(m)) for m in range(1, 11)), True, False)
+        levels = SeriesTable(tuple((m, right.entry(m)) for m in range(1, 11)), NEVER)
         tested = []
 
         def counting(u, w, _real=series.is_subspace_of):
