@@ -43,6 +43,7 @@ from .series import (
     SeriesTable,
     bk_chain,
     compute_series,
+    es_nil_k,
     index_bound,
     left_powers,
     nilpotency_profile,

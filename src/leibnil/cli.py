@@ -35,6 +35,7 @@ from .series import (
     NEVER,
     bk_chain,
     compute_series,
+    es_nil_k,
     profile_from_series,
     verify_paper_inclusions,
 )
@@ -145,10 +146,10 @@ def cmd_profile(args) -> int:
           f"{_status_text(profile.strong_index, profile.strong_status, 'strong')}")
 
     es_bits = [f"Es(B) dim {bundle.es_space.dim}"]
-    for side, es in (("right", bundle.es_right), ("left", bundle.es_left)):
-        if es.found:
-            es_bits.append(f"Es_{es.k}-{side} nil")
-        elif es.definitive:
+    for side, translates in (("right", bundle.es_right), ("left", bundle.es_left)):
+        if translates.end == FOUND:
+            es_bits.append(f"Es_{es_nil_k(translates)}-{side} nil")
+        elif translates.end == NEVER:
             es_bits.append(f"not Es_k-{side} nil for any k (fixed point)")
         else:
             es_bits.append(f"Es-{side} verdict undetermined")

@@ -8,6 +8,7 @@ so a fixed (input, flags, seed) triple always produces byte-identical output.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -18,11 +19,12 @@ from .linalg import Subspace, Vector, span
 from .series import (
     FOUND,
     NEVER,
-    EsNilVerdict,
+    UNDETERMINED,
     InclusionReport,
     NilpotencyProfile,
     SeriesBundle,
     SeriesTable,
+    es_nil_k,
 )
 
 
@@ -83,10 +85,19 @@ def load_algebra_data(data: dict, source: str = "<data>") -> LoadedAlgebra:
     return LoadedAlgebra(algebra, ideals)
 
 
+def _unique_keys(pairs: list[tuple[str, object]], source: str) -> dict:
+    """A JSON object as a dict; a repeated key is an input error, not last-one-wins."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"{source}: duplicate key {key!r}")
+    return obj
+
+
 def load_algebra_file(path: str | Path) -> LoadedAlgebra:
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return load_algebra_data(data, source=str(path))
@@ -111,11 +122,11 @@ def series_to_dict(kind: str, table: SeriesTable) -> dict:
     }
 
 
-def es_verdict_to_dict(verdict: EsNilVerdict) -> dict:
+def es_verdict_to_dict(translates: SeriesTable) -> dict:
     return {
-        "k": verdict.k,
-        "definitive": verdict.definitive,
-        "translate_dims": verdict.table.dims(),
+        "k": es_nil_k(translates),
+        "definitive": translates.end != UNDETERMINED,
+        "translate_dims": translates.dims(),
     }
 
 

@@ -33,14 +33,15 @@ multiplies the levels, would mean a bug, not a counterexample.
 The span I of the squares is an ideal with L . I = 0 (see squares_ideal),
 so L/I is a Lie algebra, where B^n = ^nB; hence B^n lies in ^nB + I and, by
 the modular law, in ^nB + Es(B): check (a) is a theorem too. Es(B) lies in
-I, so es_left is read off L . I = 0: k = 1, definitive. And ^nB lies in B^n,
-a left-normed word being a combination of right words, so the left index
-never exceeds the right index.
+I, so its left translate table is read off L . I = 0: Es(B), then 0. And ^nB
+lies in B^n, a left-normed word being a combination of right words, so the
+left index never exceeds the right index.
 
 Beside these come the right translate series D . L^k, the chain
-B_k = B^k + Es(B), and a battery of inclusion checks. Each SeriesTable
-records how it ended: FOUND at a zero, NEVER at a genuine nonzero fixed point
-(the only definitive negative verdict), UNDETERMINED at an exhausted bound.
+B_k = B^k + Es(B), and a battery of inclusion checks. Every series is a
+SeriesTable that stops at its first zero and records how it ended: FOUND at
+a zero, NEVER at a genuine nonzero fixed point (the only definitive negative
+verdict), UNDETERMINED at an exhausted bound; es_nil_k reads the Es k off one.
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ UNDETERMINED = "undetermined"
 class SeriesTable:
     """A computed series: its (index, subspace) entries and how it ended.
 
-    The indices are consecutive. `end` is FOUND when the last entry is zero,
-    NEVER when the last two entries are an equal nonzero fixed point, and
-    UNDETERMINED when the bound ran out first. Every table built here stops
-    at its first zero, except the B_k chain of the zero ideal (see bk_chain).
+    The indices are consecutive and stop at the first zero. `end` is FOUND
+    when the last entry is zero, NEVER when the last two entries are an
+    equal nonzero fixed point, and UNDETERMINED when the bound ran out first.
     """
 
     entries: tuple[tuple[int, Subspace], ...]
@@ -143,31 +143,23 @@ def right_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
     return _product_series([(0, d)], alg.full_space(), k_max, alg, multiply_on_right=True)
 
 
-@dataclass(frozen=True)
-class EsNilVerdict:
-    """Least k with the k-fold translate of Es(B) zero, if any.
+def es_nil_k(translates: SeriesTable) -> int | None:
+    """Least k with the k-fold translate of Es(B) zero, if any; Es(B) = 0 counts as k = 1.
 
-    `definitive` distinguishes a genuine fixed point ("no k ever works") from
-    an exhausted k_max. Since Es(B) is an ideal its translate series is
-    decreasing, so with the default k_max = dim+1 the verdict is always
-    definitive.
+    Without a k, `end` tells a fixed point (NEVER) from an exhausted k_max;
+    the series decreases, so the default k_max = dim+1 always decides it.
     """
-
-    k: int | None
-    definitive: bool
-    table: SeriesTable
-
-    @property
-    def found(self) -> bool:
-        return self.k is not None
+    k = translates.verdict()[0]
+    return None if k is None else max(k, 1)
 
 
 @dataclass(frozen=True)
 class SeriesBundle:
-    """The right and left powers of one ideal, its levels and Es verdicts, computed once.
+    """The right and left powers of one ideal, its levels and Es translates, computed once.
 
     `levels` is power_levels(right, n_max): the general powers and the strong
-    filtration, which the report writes under both names.
+    filtration, which the report writes under both names. `es_right` and
+    `es_left` are the translate tables of `es_space`, Es(B).
     """
 
     ideal: IdealHandle
@@ -177,14 +169,8 @@ class SeriesBundle:
     left: SeriesTable
     levels: SeriesTable
     es_space: Subspace
-    es_right: EsNilVerdict
-    es_left: EsNilVerdict
-
-
-def _es_verdict(table: SeriesTable) -> EsNilVerdict:
-    """The verdict read off a translate series of Es(B); Es(B) = 0 counts as k = 1."""
-    k, status = table.verdict()
-    return EsNilVerdict(None if k is None else max(k, 1), status != UNDETERMINED, table)
+    es_right: SeriesTable
+    es_left: SeriesTable
 
 
 def bk_chain(bundle: SeriesBundle) -> SeriesTable:
@@ -193,25 +179,23 @@ def bk_chain(bundle: SeriesBundle) -> SeriesTable:
     Each entry other than L and B, which are ideals already, is re-verified
     to be a two-sided ideal, and the chain to be decreasing; a failure would
     contradict the theory on a verified algebra, so it is raised as
-    ChainVerificationError rather than reported. The chain ends NEVER only
-    once the underlying power series has stopped, which makes the constant
-    extension in entry() sound. B_2 is always computed, so for B = 0 the chain
-    is L, 0, 0 and its verdict reads 2; no report reads that verdict.
+    ChainVerificationError rather than reported. Like every table here the
+    chain stops at its first zero, B_1 for B = 0. It ends NEVER only once the
+    underlying power series has stopped, which makes the constant extension
+    in entry() sound.
     """
     b, powers, es = bundle.ideal, bundle.right, bundle.es_space
     alg = b.algebra
     entries: list[tuple[int, Subspace]] = [(0, alg.full_space()), (1, b.space)]
-    end = UNDETERMINED
-    for k in range(2, bundle.n_max + 1):
+    k, current = 1, b.space
+    end = FOUND if current.is_zero() else UNDETERMINED
+    while end == UNDETERMINED and k < bundle.n_max:
+        k += 1
         bk = subspace_sum(powers.entry(k), es)
         entries.append((k, bk))
-        if bk.is_zero():
-            end = FOUND
-            break
-        if bk == entries[-2][1] and powers.entries[-1][0] <= k:
-            # underlying power series has already stopped, so B_k is constant now
-            end = NEVER
-            break
+        end = FOUND if bk.is_zero() else \
+            NEVER if bk == current and powers.entries[-1][0] <= k else UNDETERMINED
+        current = bk
     checked = {alg.full_space(), b.space}
     for k, space in entries[2:]:
         if space not in checked:
@@ -357,8 +341,8 @@ def verify_paper_inclusions(bundle: SeriesBundle, chain: SeriesTable, n_max: int
             else f"B^{n} escapes B_{n}"))
 
     # (c) high-weight right products land in the k-translated power
-    if bundle.es_right.found:
-        k = bundle.es_right.k
+    k = es_nil_k(bundle.es_right)
+    if k is not None:
         right = bundle.right
         for ell in (k, k + 1):
             try:
@@ -407,10 +391,10 @@ def compute_series(b: IdealHandle, n_max: int, k_max: int | None = None) -> Seri
         left=left_powers(b, n_max),
         levels=power_levels(right, n_max),
         es_space=es,
-        es_right=_es_verdict(right_translates(es, k_max, alg)),
+        es_right=right_translates(es, k_max, alg),
         # Es(B) lies in I, and squares_ideal checked L . I = 0
-        es_left=EsNilVerdict(1, True, SeriesTable(
-            ((0, es),) if es.is_zero() else ((0, es), (1, alg.zero_space())), FOUND)),
+        es_left=SeriesTable(((0, es),) if es.is_zero() else ((0, es), (1, alg.zero_space())),
+                            FOUND),
     )
 
 
@@ -444,6 +428,7 @@ def profile_from_series(bundle: SeriesBundle) -> NilpotencyProfile:
     # module docstring; the report keeps a field for each
     right_index, right_status = bundle.right.verdict()
     left_index, left_status = bundle.left.verdict()
+    es_right_k = es_nil_k(bundle.es_right)
 
     theorem_bound = alt_bound = bound_satisfied = None
     bound_verdict = "n/a"
@@ -451,16 +436,17 @@ def profile_from_series(bundle: SeriesBundle) -> NilpotencyProfile:
         # the strong index is the right index, so the bound always holds
         theorem_bound = index_bound(right_index)
         bound_satisfied, bound_verdict = True, "satisfied"
-        if bundle.es_right.found:
-            alt_bound = index_bound(max(right_index, bundle.es_right.k))
+        if es_right_k is not None:
+            alt_bound = index_bound(max(right_index, es_right_k))
 
     return NilpotencyProfile(
         right_index=right_index, right_status=right_status,
         left_index=left_index, left_status=left_status,
         general_index=right_index, general_status=right_status,
         strong_index=right_index, strong_status=right_status,
-        es_right_nil_k=bundle.es_right.k, es_right_definitive=bundle.es_right.definitive,
-        es_left_nil_k=bundle.es_left.k, es_left_definitive=bundle.es_left.definitive,
+        es_right_nil_k=es_right_k, es_right_definitive=bundle.es_right.end != UNDETERMINED,
+        es_left_nil_k=es_nil_k(bundle.es_left),
+        es_left_definitive=bundle.es_left.end != UNDETERMINED,
         theorem_bound=theorem_bound, alt_bound=alt_bound,
         bound_satisfied=bound_satisfied, bound_verdict=bound_verdict,
     )

@@ -7,8 +7,8 @@ both tables from. `es_nil_index` and `bk_chain` recompute Es(B) and the
 right powers for each verdict and for the chain, independently of the
 series bundle the library reads them from. `one_step_status`,
 `es_verdict` and `weight_statuses` read the verdicts off the tables by
-three separate rules, apart from `SeriesTable.verdict`, which the library
-reads them with. `sampled_inclusion_report`
+three separate rules, apart from `SeriesTable.verdict` and `es_nil_k`,
+which the library reads them with. `sampled_inclusion_report`
 recomputes every table and decides the inclusion checks (b) and (c) by
 sampling alone, with `random_right_product`, where the library decides them
 by exact inclusion. `dense_identity_failures` and `dense_is_antisymmetric`
@@ -38,7 +38,6 @@ from leibnil.series import (
     FOUND,
     NEVER,
     UNDETERMINED,
-    EsNilVerdict,
     InclusionCheck,
     InclusionReport,
     SeriesTable,
@@ -223,15 +222,17 @@ def left_translates(d: Subspace, k_max: int, alg: AlgebraDef) -> SeriesTable:
     return _product_series([(0, d)], alg.full_space(), k_max, alg, multiply_on_right=False)
 
 
-def es_verdict(table: SeriesTable) -> EsNilVerdict:
-    """The verdict read off a translate series of Es(B)."""
+def es_verdict(table: SeriesTable) -> tuple[int | None, bool]:
+    """(k, definitive) read off a translate series of Es(B) by scanning it for a zero."""
     for k, s in table.entries:
         if s.is_zero():
-            return EsNilVerdict(max(k, 1), True, table)
-    return EsNilVerdict(None, table.end == NEVER, table)
+            return max(k, 1), True
+    return None, table.end == NEVER
 
 
-def es_nil_index(b: IdealHandle, side: str, k_max: int | None = None) -> EsNilVerdict:
+def es_nil_index(b: IdealHandle, side: str,
+                 k_max: int | None = None) -> tuple[int | None, bool, SeriesTable]:
+    """(k, definitive, translate table) of Es(B) on one side, multiplied out afresh."""
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     alg = b.algebra
@@ -244,7 +245,7 @@ def es_nil_index(b: IdealHandle, side: str, k_max: int | None = None) -> EsNilVe
         table = right_translates(d, k_max, alg)
     else:
         table = left_translates(d, k_max, alg)
-    return es_verdict(table)
+    return (*es_verdict(table), table)
 
 
 def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:
@@ -252,9 +253,10 @@ def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:
 
     Each entry is re-verified to be a two-sided ideal and the chain to be
     decreasing; a failure would contradict the theory on a verified algebra,
-    so it is raised as ChainVerificationError rather than reported. The
-    stabilized flag is set only once the underlying power series has stopped,
-    which makes the constant extension in entry() sound.
+    so it is raised as ChainVerificationError rather than reported. The chain
+    stops at its first zero, B_1 for B = 0. The stabilized flag is set only
+    once the underlying power series has stopped, which makes the constant
+    extension in entry() sound.
     """
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
@@ -262,9 +264,10 @@ def bk_chain(b: IdealHandle, k_max: int) -> SeriesTable:
     es = es_of(b)
     powers = right_powers(b, k_max)
     entries: list[tuple[int, Subspace]] = [(0, alg.full_space()), (1, b.space)]
-    terminated_zero = False
+    terminated_zero = b.space.is_zero()
     stabilized = False
-    for k in range(2, k_max + 1):
+    # no B_k past a zero B_1
+    for k in range(2, 1 if terminated_zero else k_max + 1):
         bk = subspace_sum(powers.entry(k), es)
         entries.append((k, bk))
         if bk.is_zero():
@@ -338,7 +341,7 @@ def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=Non
     sf = strong_filtration(b, n_max)
     if chain is None:
         chain = bk_chain(b, max(2, n_max))
-    es_right = es_nil_index(b, "right", k_max)
+    k = es_nil_index(b, "right", k_max)[0]
 
     for n in range(1, n_max + 1):
         lhs, rhs = rp.entry(n), subspace_sum(lp.entry(n), es)
@@ -359,8 +362,7 @@ def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=Non
             f"weight_{n}_right_products_in_chain", bad == 0,
             f"{samples - bad}/{samples} sampled products inside B_{n}"))
 
-    if es_right.found:
-        k = es_right.k
+    if k is not None:
         for ell in (k, k + 1):
             try:
                 power = rp.entry(ell)

@@ -26,6 +26,7 @@ from leibnil.series import (
     NEVER,
     bk_chain,
     compute_series,
+    es_nil_k,
     left_powers,
     nilpotency_profile,
     right_powers,
@@ -192,8 +193,8 @@ def test_criterion_6_exact_profiles(algebras):
     assert p.left_index == 3
     bundle = compute_series(a2, 16)
     es_right, es_left = bundle.es_right, bundle.es_left
-    assert es_right.k is None and es_right.definitive
-    assert es_left.k == 1
+    assert es_nil_k(es_right) is None and es_right.end == NEVER
+    assert es_nil_k(es_left) == 1
     verdict(6, True, "exact profiles: l2/h3 all 3 (bound 31), abelian2 all 2 "
                      "(bound 13), a2 definitively not right nilpotent, left 3, "
                      "not Es_k-right nil, Es_1-left nil")

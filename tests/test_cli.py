@@ -46,6 +46,25 @@ class TestCheck:
                                    "constants": [[1, 1, 2, 0.5]]}))
         assert main(["check", str(bad)]) == 2
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"name": "x", "dim": 2, "field": {"type": "Q"}, '
+         '"constants": [[1, 1, 2, 1]], "constants": []}', "constants"),
+        ('{"name": "x", "dim": 2, "field": {"type": "Q"}, "constants": [], '
+         '"ideals": {"z": [["0", "1"]], "z": [["1", "0"]]}}', "z"),
+    ], ids=["top_level", "ideal_name"])
+    def test_duplicate_key_is_usage_error(self, text, key, tmp_path, capsys):
+        dup = tmp_path / "dup.json"
+        dup.write_text(text)
+        assert main(["profile", str(dup), "--nmax", "3"]) == 2
+        assert capsys.readouterr().err == f"error: {dup}: duplicate key {key!r}\n"
+
+    def test_same_key_at_different_depths_is_valid(self, tmp_path, capsys):
+        # "name" is a top-level key and an ideal name; "field" likewise
+        ok = tmp_path / "ok.json"
+        ok.write_text('{"name": "x", "dim": 2, "field": {"type": "Q"}, "constants": [], '
+                      '"ideals": {"name": [["0", "1"]], "field": [["1", "0"]]}}')
+        assert main(["profile", str(ok), "--ideal", "name", "--nmax", "3"]) == 0
+
     @pytest.mark.parametrize("field, literal, message", [
         ({"type": "Q"}, "1/0", "zero denominator in rational literal '1/0'"),
         ({"type": "Fp", "p": 3}, "1/3", "denominator of '1/3' is zero in GF(3)"),

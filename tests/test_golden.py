@@ -20,6 +20,7 @@ CASES = {
     "profile_l2": ["profile", "l2"],
     "profile_h3": ["profile", "h3"],
     "profile_h3_center": ["profile", "h3", "--ideal", "center"],
+    "profile_abelian2_zero": ["profile", "abelian2", "--ideal", "zero"],
     "check_abelian2": ["check", "abelian2"],
     "check_a2": ["check", "a2"],
     "check_l2": ["check", "l2"],

@@ -37,10 +37,10 @@ from leibnil.series import (
     ChainVerificationError,
     NEVER,
     UNDETERMINED,
-    EsNilVerdict,
     SeriesTable,
     bk_chain,
     compute_series,
+    es_nil_k,
     filtration_check,
     index_bound,
     left_powers,
@@ -483,29 +483,22 @@ def assert_bundle_matches_the_oracles(b, n_max, k_max):
     levels = bundle.levels
     assert levels == power_levels(bundle.right, n_max)
     chain = bk_chain(bundle)
-    for table in (bundle.right, bundle.left, levels, bundle.es_right.table,
-                  bundle.es_left.table):
+    for table in (bundle.right, bundle.left, levels, bundle.es_right, bundle.es_left, chain):
         assert_table_shape(table)
-    if b.space.is_zero():
-        # B_2 is always computed, so the chain of B = 0 repeats its zero once
-        assert chain == SeriesTable(((0, b.algebra.full_space()), (1, b.space), (2, b.space)),
-                                    FOUND)
-    else:
-        assert_table_shape(chain)
     profile = profile_from_series(bundle)
     assert ((profile.general_index, profile.general_status),
             (profile.strong_index, profile.strong_status)) == \
         (levels.verdict(), levels.verdict()) == \
         oracles.weight_statuses(bundle.right, levels, levels)
-    for verdict, side in ((bundle.es_right, "right"), (bundle.es_left, "left")):
-        oracle = oracles.es_nil_index(b, side, k_max)
-        assert (verdict.k, verdict.definitive) == (oracle.k, oracle.definitive), side
-        assert_same_table(verdict.table, oracle.table)
-        assert verdict == oracles.es_verdict(verdict.table), side
+    for table, side in ((bundle.es_right, "right"), (bundle.es_left, "left")):
+        k, definitive, oracle_table = oracles.es_nil_index(b, side, k_max)
+        assert (es_nil_k(table), table.end != UNDETERMINED) == (k, definitive), side
+        assert_same_table(table, oracle_table)
+        assert (es_nil_k(table), table.end != UNDETERMINED) == oracles.es_verdict(table), side
     # L . Es(B) = 0, and ^nB lies in B^n as left-normed words are combinations of right words
     es_dim = bundle.es_space.dim
-    assert (bundle.es_left.k, bundle.es_left.definitive, bundle.es_left.table.dims()) == \
-        (1, True, [es_dim, 0] if es_dim else [0])
+    assert (es_nil_k(bundle.es_left), bundle.es_left.end, bundle.es_left.dims()) == \
+        (1, FOUND, [es_dim, 0] if es_dim else [0])
     if profile.right_index is not None:
         assert profile.left_index is not None
         assert profile.left_index <= profile.right_index
@@ -543,16 +536,16 @@ class TestBundleMatchesTheOracles:
         for table in (bundle.right, bundle.left, bundle.levels):
             assert table.verdict() == (None, UNDETERMINED)
         bundle = assert_bundle_matches_the_oracles(full_ideal(family("NF", 4)), 12, 1)
-        assert (bundle.es_right.k, bundle.es_right.definitive) == (None, False)
+        assert (es_nil_k(bundle.es_right), bundle.es_right.end) == (None, UNDETERMINED)
 
     def test_zero_es_is_nil_at_one(self, h3):
         # h3 is a Lie algebra, so its squares ideal and Es(L) are 0
         assert_bundle_matches_the_oracles(squares_ideal(h3.algebra), 12, None)
         bundle = assert_bundle_matches_the_oracles(full_ideal(h3.algebra), 12, None)
         assert bundle.es_space.is_zero()
-        for verdict in (bundle.es_right, bundle.es_left):
-            assert verdict.table.verdict() == (0, FOUND)
-            assert verdict == EsNilVerdict(1, True, verdict.table)
+        for table in (bundle.es_right, bundle.es_left):
+            assert table.verdict() == (0, FOUND)
+            assert es_nil_k(table) == 1
 
 
 class TestSeriesComputedOnce:
@@ -632,20 +625,20 @@ class TestTranslates:
 
 class TestEsNilIndex:
     def test_lie_algebra_trivially_one(self, h3):
-        verdict = compute_series(full_ideal(h3.algebra), 2).es_right
-        assert verdict.k == 1 and verdict.definitive
+        table = compute_series(full_ideal(h3.algebra), 2).es_right
+        assert es_nil_k(table) == 1 and table.end == FOUND
 
     def test_a2_right_definitively_absent(self, a2):
-        verdict = compute_series(full_ideal(a2.algebra), 2).es_right
-        assert verdict.k is None and verdict.definitive
+        table = compute_series(full_ideal(a2.algebra), 2).es_right
+        assert es_nil_k(table) is None and table.end == NEVER
 
     def test_a2_left_is_one(self, a2):
-        verdict = compute_series(full_ideal(a2.algebra), 2).es_left
-        assert verdict.k == 1 and verdict.definitive
+        table = compute_series(full_ideal(a2.algebra), 2).es_left
+        assert es_nil_k(table) == 1 and table.end == FOUND
 
     def test_l2_right_is_one(self, l2):
-        verdict = compute_series(full_ideal(l2.algebra), 2).es_right
-        assert verdict.k == 1 and verdict.definitive
+        table = compute_series(full_ideal(l2.algebra), 2).es_right
+        assert es_nil_k(table) == 1 and table.end == FOUND
 
     def test_k_max_below_one_rejected(self, l2):
         with pytest.raises(ValueError, match="k_max must be >= 1"):
@@ -671,6 +664,12 @@ class TestBkChain:
         chain = bk_chain(compute_series(full_ideal(a2.algebra), 8))
         for k in range(2, 9):
             assert chain.entry(k) == e2_line()
+
+    def test_zero_ideal_chain_stops_at_b1(self, abelian2):
+        alg = abelian2.algebra
+        chain = bk_chain(compute_series(IdealHandle(alg, alg.zero_space()), 12))
+        assert chain == SeriesTable(((0, alg.full_space()), (1, alg.zero_space())), FOUND)
+        assert chain.verdict() == (1, FOUND) and chain.entry(3).is_zero()
 
     def test_b2_not_an_ideal_raises(self, h3_bundle_with_non_ideal_b2):
         with pytest.raises(ChainVerificationError, match=r"^B_2 is not a two-sided ideal$"):
