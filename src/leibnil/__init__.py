@@ -17,6 +17,7 @@ from .algebra import (
     es_of,
     full_ideal,
     is_right_leibniz,
+    right_identity_sides,
     squares_ideal,
     subspace_product,
     verify_left_leibniz,

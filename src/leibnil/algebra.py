@@ -5,9 +5,10 @@ as vectors. The nonzero structure constants are also kept per row, and
 `bracket` contracts those directly. The identity
 [x,[y,z]] = [[x,y],z] - [[x,z],y] holds when it holds on all basis triples,
 by trilinearity. Its defect on every triple at once is summed from the
-products of two nonzero constants, so only a failing triple is bracketed.
-Ideals, the span of all squares [x,x] (the Leibniz kernel, an ideal that L
-annihilates from the left), and products of subspaces live here too.
+products of two nonzero constants, so no triple is bracketed unless its two
+sides are asked for. Ideals, the span of all squares [x,x] (the Leibniz
+kernel, an ideal that L annihilates from the left), and products of
+subspaces live here too.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ def algebra_from_constants(name: str, dim: int, field: Field,
                            constants: Iterable[tuple[int, int, int, Scalar]]) -> AlgebraDef:
     """Build an algebra from sparse (i, j, k, value) structure constants, 1-based.
 
-    Explicit zeros and repeated (i, j, k) positions are rejected rather than
-    merged; sparse input is expected to be canonical.
+    Values must be field elements (over GF(p), reduced residues). Explicit
+    zeros and repeated (i, j, k) positions are rejected rather than merged;
+    sparse input is expected to be canonical.
     """
     table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
     seen: set[tuple[int, int, int]] = set()
@@ -99,6 +101,9 @@ def algebra_from_constants(name: str, dim: int, field: Field,
         if (i, j, k) in seen:
             raise ValueError(f"duplicate structure constant at ({i},{j},{k})")
         seen.add((i, j, k))
+        if not field.is_element(value):
+            raise ValueError(f"structure constant at ({i},{j},{k}) is not an element of "
+                             f"{field!r}: {value!r}")
         if value == field.zero:
             raise ValueError(f"explicit zero structure constant at ({i},{j},{k})")
         table[i - 1][j - 1][k - 1] = value
@@ -127,23 +132,6 @@ def bracket(x: Vector, y: Vector, alg: AlgebraDef) -> Vector:
             for k, c in cell:
                 out[k] = add(out[k], mul(s, c))
     return Vector(f, tuple(out))
-
-
-@dataclass(frozen=True)
-class IdentityFailure:
-    triple: tuple[int, int, int]
-    lhs: Vector
-    rhs: Vector
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    failures: tuple[IdentityFailure, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def _failing_triples(alg: AlgebraDef, side: str) -> list[tuple[int, int, int]]:
@@ -184,37 +172,29 @@ def _failing_triples(alg: AlgebraDef, side: str) -> list[tuple[int, int, int]]:
     return sorted({key[:3] for key, v in defect.items() if v})
 
 
-def _identity_report(alg: AlgebraDef, side: str) -> VerificationReport:
-    """The failures of one identity, each with its lhs and rhs built by `bracket`.
-
-    Brackets of two basis vectors are table entries, so only the outer
-    bracket of each term is expanded.
-    """
-    t, e = alg.table, alg.basis_vector
-    failures = []
-    for i, j, k in _failing_triples(alg, side):
-        lhs = bracket(e(i + 1), t[j][k], alg)
-        if side == "right":
-            rhs = bracket(t[i][j], e(k + 1), alg) - bracket(t[i][k], e(j + 1), alg)
-        else:
-            rhs = bracket(t[i][j], e(k + 1), alg) + bracket(e(j + 1), t[i][k], alg)
-        failures.append(IdentityFailure((i + 1, j + 1, k + 1), lhs, rhs))
-    return VerificationReport(side, tuple(failures))
-
-
-def verify_right_leibniz(alg: AlgebraDef) -> VerificationReport:
-    """Check [x,[y,z]] = [[x,y],z] - [[x,z],y] on all basis triples."""
-    return _identity_report(alg, "right")
+def verify_right_leibniz(alg: AlgebraDef) -> tuple[tuple[int, int, int], ...]:
+    """The basis triples, 1-based and in order, where [x,[y,z]] = [[x,y],z] - [[x,z],y] fails."""
+    return tuple([(i + 1, j + 1, k + 1) for i, j, k in _failing_triples(alg, "right")])
 
 
 def is_right_leibniz(alg: AlgebraDef) -> bool:
-    """Boolean form of verify_right_leibniz, which builds no lhs or rhs."""
+    """Boolean form of verify_right_leibniz."""
     return not _failing_triples(alg, "right")
 
 
-def verify_left_leibniz(alg: AlgebraDef) -> VerificationReport:
-    """Check [x,[y,z]] = [[x,y],z] + [y,[x,z]] on all basis triples."""
-    return _identity_report(alg, "left")
+def verify_left_leibniz(alg: AlgebraDef) -> tuple[tuple[int, int, int], ...]:
+    """The basis triples, 1-based and in order, where [x,[y,z]] = [[x,y],z] + [y,[x,z]] fails."""
+    return tuple([(i + 1, j + 1, k + 1) for i, j, k in _failing_triples(alg, "left")])
+
+
+def right_identity_sides(alg: AlgebraDef, triple: tuple[int, int, int]) -> tuple[Vector, Vector]:
+    """[x,[y,z]] and [[x,y],z] - [[x,z],y] at one 1-based basis triple (x, y, z),
+    where each inner bracket is a table entry."""
+    i, j, k = triple
+    t, e = alg.table, alg.basis_vector
+    lhs = bracket(e(i), t[j - 1][k - 1], alg)
+    rhs = bracket(t[i - 1][j - 1], e(k), alg) - bracket(t[i - 1][k - 1], e(j), alg)
+    return lhs, rhs
 
 
 def is_antisymmetric(alg: AlgebraDef) -> bool:

@@ -19,6 +19,7 @@ from .algebra import (
     ChainVerificationError,
     IdealHandle,
     is_antisymmetric,
+    right_identity_sides,
     verify_left_leibniz,
     verify_right_leibniz,
 )
@@ -33,6 +34,7 @@ from .search import run_search
 from .series import (
     FOUND,
     NEVER,
+    SAMPLES,
     bk_chain,
     compute_series,
     es_nil_k,
@@ -46,18 +48,19 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
-def _identity_line(report, name: str, lie_hint: bool = False) -> str:
-    if report.ok:
+def _identity_line(failures, name: str, lie_hint: bool = False) -> str:
+    if not failures:
         return f"{name}: OK" + (" (Lie)" if lie_hint else "")
-    return f"{name}: FAILED ({len(report.failures)} basis triples)"
+    return f"{name}: FAILED ({len(failures)} basis triples)"
 
 
-def _print_failures(report, limit: int = 5) -> None:
-    for failure in report.failures[:limit]:
-        i, j, k = failure.triple
-        print(f"  triple (e{i}, e{j}, e{k}): lhs = {failure.lhs}, rhs = {failure.rhs}")
-    if len(report.failures) > limit:
-        print(f"  ... and {len(report.failures) - limit} more")
+def _print_failures(alg, failures, limit: int = 5) -> None:
+    """Print the right identity's two sides at the first `limit` failing triples."""
+    for i, j, k in failures[:limit]:
+        lhs, rhs = right_identity_sides(alg, (i, j, k))
+        print(f"  triple (e{i}, e{j}, e{k}): lhs = {lhs}, rhs = {rhs}")
+    if len(failures) > limit:
+        print(f"  ... and {len(failures) - limit} more")
 
 
 def cmd_check(args) -> int:
@@ -65,24 +68,24 @@ def cmd_check(args) -> int:
     alg = loaded.algebra
     right = verify_right_leibniz(alg)
     left = verify_left_leibniz(alg)
-    lie = right.ok and left.ok and is_antisymmetric(alg)
+    lie = not right and not left and is_antisymmetric(alg)
     print(f"algebra {alg.name} (dim {alg.dim} over {alg.field!r})")
     print(_identity_line(right, "right Leibniz") + ", " +
           _identity_line(left, "left Leibniz", lie_hint=lie))
-    if not right.ok:
-        _print_failures(right)
+    if right:
+        _print_failures(alg, right)
     if args.json:
         report = {
             "tool": tool_stamp(),
             "algebra": {"name": alg.name, "dim": alg.dim},
-            "right_leibniz": right.ok,
-            "left_leibniz": left.ok,
+            "right_leibniz": not right,
+            "left_leibniz": not left,
             "lie": lie,
-            "right_failures": [list(f.triple) for f in right.failures],
-            "left_failures": [list(f.triple) for f in left.failures],
+            "right_failures": [list(t) for t in right],
+            "left_failures": [list(t) for t in left],
         }
         write_report(report, args.json)
-    return EXIT_OK if right.ok else EXIT_MATH
+    return EXIT_MATH if right else EXIT_OK
 
 
 _NEVER_TEXT = {
@@ -110,9 +113,9 @@ def cmd_profile(args) -> int:
     loaded = load_algebra_file(args.path)
     alg = loaded.algebra
     right = verify_right_leibniz(alg)
-    if not right.ok:
+    if right:
         print(f"algebra {alg.name}: right Leibniz identity FAILED; no profile")
-        _print_failures(right)
+        _print_failures(alg, right)
         return EXIT_MATH
     if args.ideal is not None:
         if args.ideal not in loaded.ideals:
@@ -127,7 +130,7 @@ def cmd_profile(args) -> int:
     bundle = compute_series(b, args.nmax, args.kmax)
     chain = bk_chain(bundle)
     profile = profile_from_series(bundle)
-    inclusions = verify_paper_inclusions(bundle, chain, min(args.nmax, 10), seed=args.seed)
+    checks = verify_paper_inclusions(bundle, chain, min(args.nmax, 10))
 
     print(f"algebra {alg.name} (dim {alg.dim} over {alg.field!r}), ideal: {ideal_name}")
     rp_dims = bundle.right.dims()
@@ -165,17 +168,17 @@ def cmd_profile(args) -> int:
     else:
         print("bound 4n^2-2n+1: n/a (right index undefined)")
 
-    passed = sum(1 for c in inclusions.checks if c.passed)
-    print(f"inclusion checks: {passed}/{len(inclusions.checks)} passed "
-          f"(seed {inclusions.seed}, {inclusions.samples} samples per check)")
-    for check in inclusions.checks:
-        if not check.passed:
-            print(f"  FAILED {check.name}: {check.detail}")
+    failed = [check for check in checks if not check.passed]
+    print(f"inclusion checks: {len(checks) - len(failed)}/{len(checks)} passed "
+          f"(seed {args.seed}, {SAMPLES} samples per check)")
+    for check in failed:
+        print(f"  FAILED {check.name}: {check.detail}")
 
     if args.json:
-        write_report(profile_report(ideal_name, bundle, chain, profile, inclusions), args.json)
+        write_report(profile_report(ideal_name, bundle, chain, profile, checks, args.seed),
+                     args.json)
 
-    return EXIT_OK if inclusions.ok else EXIT_MATH
+    return EXIT_MATH if failed else EXIT_OK
 
 
 def _parse_assignments(pairs, alg):

@@ -51,6 +51,9 @@ class RationalField:
     zero = 0
     one = 1
 
+    def is_element(self, a: object) -> bool:
+        return isinstance(a, Fraction) or (isinstance(a, int) and not isinstance(a, bool))
+
     def from_int(self, n: int) -> int:
         return n
 
@@ -107,6 +110,9 @@ class PrimeField:
     characteristic = property(lambda self: self.p)
     zero = 0
     one = 1
+
+    def is_element(self, a: object) -> bool:
+        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.p
 
     def from_int(self, n: int) -> int:
         return n % self.p

@@ -19,8 +19,9 @@ from .linalg import Subspace, Vector, span
 from .series import (
     FOUND,
     NEVER,
+    SAMPLES,
     UNDETERMINED,
-    InclusionReport,
+    InclusionCheck,
     NilpotencyProfile,
     SeriesBundle,
     SeriesTable,
@@ -130,17 +131,19 @@ def es_verdict_to_dict(translates: SeriesTable) -> dict:
     }
 
 
-def inclusions_to_dict(report: InclusionReport) -> dict:
+def inclusions_to_dict(checks: tuple[InclusionCheck, ...], seed: int) -> dict:
+    """The inclusion checks; `seed` and SAMPLES are echoed, as no check samples."""
     return {
-        "seed": report.seed,
-        "samples": report.samples,
-        "all_passed": report.ok,
-        "checks": [asdict(c) for c in report.checks],
+        "seed": seed,
+        "samples": SAMPLES,
+        "all_passed": all(c.passed for c in checks),
+        "checks": [asdict(c) for c in checks],
     }
 
 
 def profile_report(ideal_name: str, bundle: SeriesBundle, chain: SeriesTable,
-                   profile: NilpotencyProfile, inclusions: InclusionReport) -> dict:
+                   profile: NilpotencyProfile, checks: tuple[InclusionCheck, ...],
+                   seed: int) -> dict:
     # the general powers and the strong filtration are both the levels
     tables = (("right_powers", bundle.right), ("left_powers", bundle.left),
               ("general_powers", bundle.levels), ("strong_filtration", bundle.levels),
@@ -149,7 +152,7 @@ def profile_report(ideal_name: str, bundle: SeriesBundle, chain: SeriesTable,
         "tool": tool_stamp(),
         "algebra": algebra_stamp(bundle.ideal.algebra),
         "ideal": ideal_name,
-        "params": {"nmax": bundle.n_max, "kmax": bundle.k_max, "seed": inclusions.seed},
+        "params": {"nmax": bundle.n_max, "kmax": bundle.k_max, "seed": seed},
         "series": {kind: series_to_dict(kind, table) for kind, table in tables},
         "es": {
             "dim": bundle.es_space.dim,
@@ -157,7 +160,7 @@ def profile_report(ideal_name: str, bundle: SeriesBundle, chain: SeriesTable,
             "left": es_verdict_to_dict(bundle.es_left),
         },
         "profile": asdict(profile),
-        "inclusions": inclusions_to_dict(inclusions),
+        "inclusions": inclusions_to_dict(checks, seed),
     }
 
 

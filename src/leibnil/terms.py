@@ -274,16 +274,29 @@ def _operator(t: ProductTree) -> dict[tuple[Leaf, ...], int]:
     return {s: c for s, c in acc.items() if c}
 
 
+def _left_spine(t: ProductTree) -> tuple[Leaf, list[ProductTree]]:
+    """The leftmost leaf of t and the right subtrees along its left spine, innermost first."""
+    rights = []
+    while isinstance(t, Node):
+        rights.append(t.right)
+        t = t.left
+    rights.reverse()
+    return t, rights
+
+
 def _words(t: ProductTree) -> dict[tuple[Leaf, ...], int]:
-    """N(t): every word of N(left) extended by every sequence of R_right."""
-    if isinstance(t, Leaf):
-        return {(t,): 1}
-    acc: dict[tuple[Leaf, ...], int] = {}
-    right = _operator(t.right)
-    for w, cw in _words(t.left).items():
-        for s, cs in right.items():
-            acc[w + s] = acc.get(w + s, 0) + cw * cs
-    return acc
+    """N(t): every word of N(left) extended by every sequence of R_right, folded
+    along the left spine in a loop, so a long left-nested term does not recurse."""
+    first, rights = _left_spine(t)
+    words: dict[tuple[Leaf, ...], int] = {(first,): 1}
+    for r in rights:
+        acc: dict[tuple[Leaf, ...], int] = {}
+        right = _operator(r)
+        for w, cw in words.items():
+            for s, cs in right.items():
+                acc[w + s] = acc.get(w + s, 0) + cw * cs
+        words = acc
+    return words
 
 
 def normalize(t: ProductTree) -> LinComb:
@@ -356,10 +369,12 @@ def _check_assignment(form: ProductTree | LinComb, assignment: Mapping[str, Vect
 
 
 def _eval_tree(t: ProductTree, assignment: Mapping[str, Vector], alg: AlgebraDef) -> Vector:
-    if isinstance(t, Leaf):
-        return assignment[t.name]
-    return bracket(_eval_tree(t.left, assignment, alg),
-                   _eval_tree(t.right, assignment, alg), alg)
+    """Bracket t node by node, left before right, looping along each left spine."""
+    first, rights = _left_spine(t)
+    value = assignment[first.name]
+    for r in rights:
+        value = bracket(value, _eval_tree(r, assignment, alg), alg)
+    return value
 
 
 def evaluate(form: ProductTree | LinComb, assignment: Mapping[str, Vector],

@@ -27,7 +27,6 @@ from leibnil.algebra import (
     AlgebraDef,
     ChainVerificationError,
     IdealHandle,
-    IdentityFailure,
     bracket,
     es_of,
     subspace_product,
@@ -39,7 +38,6 @@ from leibnil.series import (
     NEVER,
     UNDETERMINED,
     InclusionCheck,
-    InclusionReport,
     SeriesTable,
     _product_series,
     filtration_check,
@@ -324,7 +322,7 @@ def random_right_product(alg: AlgebraDef, b_space: Subspace, length: int,
 
 
 def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=None):
-    """The inclusion report with every check (b) and (c) decided by sampling.
+    """The inclusion checks, with every check (b) and (c) decided by sampling.
 
     Every table is recomputed at n_max; `chain` replaces the B_k chain.
     """
@@ -390,11 +388,13 @@ def sampled_inclusion_report(b, n_max, k_max=None, seed=0, samples=20, chain=Non
             f"power_sandwich_{k}", ok,
             f"dims {bp.dim} <= {gk.dim} <= {wk.dim}"))
 
-    return InclusionReport(seed, samples, tuple(checks))
+    return tuple(checks)
 
 
-def dense_identity_failures(alg: AlgebraDef, side: str) -> list[IdentityFailure]:
-    """The failures of one identity, by three brackets on each basis triple in order.
+def dense_identity_failures(alg: AlgebraDef,
+                            side: str) -> list[tuple[tuple[int, int, int], Vector, Vector]]:
+    """The failures of one identity as (triple, lhs, rhs), 1-based, by three
+    brackets on each basis triple in order.
 
     side "right": [x,[y,z]] = [[x,y],z] - [[x,z],y];
     side "left":  [x,[y,z]] = [[x,y],z] + [y,[x,z]].
@@ -409,7 +409,7 @@ def dense_identity_failures(alg: AlgebraDef, side: str) -> list[IdentityFailure]
         else:
             rhs = bracket(t[i][j], e[k], alg) + bracket(e[j], t[i][k], alg)
         if lhs != rhs:
-            failures.append(IdentityFailure((i + 1, j + 1, k + 1), lhs, rhs))
+            failures.append(((i + 1, j + 1, k + 1), lhs, rhs))
     return failures
 
 

@@ -16,6 +16,7 @@ from leibnil.algebra import (
     full_ideal,
     is_antisymmetric,
     is_right_leibniz,
+    right_identity_sides,
     squares_ideal,
     subspace_product,
     verify_left_leibniz,
@@ -182,51 +183,61 @@ class TestSparseKernel:
         assert first != algebra_from_constants("h3", 3, QQ, constants[:1])
 
 
+def assert_matches_the_dense_loop(alg):
+    """Both verifiers give the dense loop's triples, and each failing right
+    triple's two sides are the dense loop's lhs and rhs."""
+    right = dense_identity_failures(alg, "right")
+    assert verify_right_leibniz(alg) == tuple(triple for triple, _, _ in right)
+    for triple, lhs, rhs in right:
+        assert right_identity_sides(alg, triple) == (lhs, rhs)
+    left = dense_identity_failures(alg, "left")
+    assert verify_left_leibniz(alg) == tuple(triple for triple, _, _ in left)
+
+
 class TestIdentityVerification:
     def test_abelian_valid(self, abelian2):
-        assert verify_right_leibniz(abelian2.algebra).ok
-        assert verify_left_leibniz(abelian2.algebra).ok
+        assert verify_right_leibniz(abelian2.algebra) == ()
+        assert verify_left_leibniz(abelian2.algebra) == ()
 
     def test_a2_right_identity_matches_oracle(self, a2):
         assert oracle_right_leibniz_failures(A2_CONSTANTS, 2) == []
-        report = verify_right_leibniz(a2.algebra)
-        assert report.ok
+        assert verify_right_leibniz(a2.algebra) == ()
         assert is_right_leibniz(a2.algebra)
 
     def test_a2_left_identity_golden(self, a2):
         # brute-force oracle says the left identity fails on a2
         expected = oracle_left_leibniz_failures(A2_CONSTANTS, 2)
         assert expected  # (2,1,1) among others
-        report = verify_left_leibniz(a2.algebra)
-        assert not report.ok
-        assert sorted(f.triple for f in report.failures) == sorted(expected)
+        failures = verify_left_leibniz(a2.algebra)
+        assert failures
+        assert sorted(failures) == sorted(expected)
 
     def test_l2_both_identities_match_oracle(self, l2):
         assert oracle_right_leibniz_failures(L2_CONSTANTS, 2) == []
         assert oracle_left_leibniz_failures(L2_CONSTANTS, 2) == []
-        assert verify_right_leibniz(l2.algebra).ok
-        assert verify_left_leibniz(l2.algebra).ok
+        assert verify_right_leibniz(l2.algebra) == ()
+        assert verify_left_leibniz(l2.algebra) == ()
 
     def test_h3_is_lie_so_both_hold(self, h3):
-        assert verify_right_leibniz(h3.algebra).ok
-        assert verify_left_leibniz(h3.algebra).ok
+        assert verify_right_leibniz(h3.algebra) == ()
+        assert verify_left_leibniz(h3.algebra) == ()
 
     def test_broken_fails_with_reported_triples(self, broken):
         expected = oracle_right_leibniz_failures(BROKEN_CONSTANTS, 2)
-        report = verify_right_leibniz(broken.algebra)
-        assert not report.ok
-        assert sorted(f.triple for f in report.failures) == sorted(expected)
+        failures = verify_right_leibniz(broken.algebra)
+        assert failures
+        assert sorted(failures) == sorted(expected)
         assert not is_right_leibniz(broken.algebra)
-        failure = report.failures[0]
-        assert failure.lhs != failure.rhs
+        lhs, rhs = right_identity_sides(broken.algebra, failures[0])
+        assert lhs != rhs
 
     @given(sampled_algebras())
     @settings(max_examples=80, deadline=None)
     def test_report_matches_the_identity_loop(self, alg):
-        report = verify_right_leibniz(alg)
-        assert report.ok == is_right_leibniz(alg)
-        assert report.failures == tuple(dense_identity_failures(alg, "right"))
-        if report.ok:
+        failures = verify_right_leibniz(alg)
+        assert (not failures) == is_right_leibniz(alg)
+        assert_matches_the_dense_loop(alg)
+        if not failures:
             # the consequences [y,[x,x]] = 0 and [z,[x,y]] + [z,[y,x]] = 0 need no
             # check of their own: they follow from the identity on basis triples
             t, e = alg.table, [alg.basis_vector(i) for i in range(1, alg.dim + 1)]
@@ -283,21 +294,19 @@ class TestSparseIdentityCheck:
     def test_failures_match_the_dense_loop(self, case):
         shape, alg = case
         right, left = verify_right_leibniz(alg), verify_left_leibniz(alg)
-        assert right.failures == tuple(dense_identity_failures(alg, "right"))
-        assert left.failures == tuple(dense_identity_failures(alg, "left"))
-        assert is_right_leibniz(alg) == right.ok
+        assert_matches_the_dense_loop(alg)
+        assert is_right_leibniz(alg) == (not right)
         if shape in ("central", "right"):
-            assert right.ok
+            assert right == ()
         if shape == "central":
-            assert left.ok
+            assert left == ()
 
     def test_every_small_gf3_tensor_matches_the_dense_loop(self):
         # the 128 dim-2 tensors over GF(3) with one or two nonzero constants
         valid = 0
         for constants in sparse_tensors_exhaustive(2, 3):
             alg = algebra_from_constants("gf3", 2, GF(3), constants)
-            for side, verify in (("right", verify_right_leibniz), ("left", verify_left_leibniz)):
-                assert verify(alg).failures == tuple(dense_identity_failures(alg, side))
+            assert_matches_the_dense_loop(alg)
             assert is_right_leibniz(alg) == (not dense_identity_failures(alg, "right"))
             assert is_antisymmetric(alg) == dense_is_antisymmetric(alg)
             valid += is_right_leibniz(alg)
@@ -349,6 +358,31 @@ class TestStructureConstants:
     def test_explicit_zero_rejected(self):
         with pytest.raises(ValueError):
             algebra_from_constants("bad", 2, QQ, [(1, 1, 2, Fraction(0))])
+
+    @pytest.mark.parametrize("value", [4, 3, -1, Fraction(1, 2), Fraction(1), True, "1", 1.0])
+    def test_non_element_rejected_over_gf3(self, value):
+        with pytest.raises(ValueError, match=r"^structure constant at \(1,1,2\) is not an "
+                                             r"element of GF\(3\): "):
+            algebra_from_constants("bad", 2, GF(3), [(1, 1, 2, value)])
+
+    @pytest.mark.parametrize("value", [True, "1/2", 0.5])
+    def test_non_element_rejected_over_q(self, value):
+        with pytest.raises(ValueError, match=r"^structure constant at \(1,1,2\) is not an "
+                                             r"element of Q: "):
+            algebra_from_constants("bad", 2, QQ, [(1, 1, 2, value)])
+
+    def test_unreduced_residue_no_longer_breaks_antisymmetry(self):
+        # [e1,e2] = 2e1 and [e2,e1] = 4e1 over GF(3): 4 is 1 = -2, but stored
+        # unreduced it made is_antisymmetric False and the algebra unequal to
+        # the one written with 1; it is rejected instead
+        with pytest.raises(ValueError, match="not an element of GF"):
+            algebra_from_constants("bad", 2, GF(3), [(1, 2, 1, 2), (2, 1, 1, 4)])
+        alg = algebra_from_constants("ok", 2, GF(3), [(1, 2, 1, 2), (2, 1, 1, 1)])
+        assert is_antisymmetric(alg)
+
+    def test_field_elements_accepted(self):
+        assert algebra_from_constants("q", 2, QQ, [(1, 1, 2, Fraction(1, 2)), (1, 2, 1, -3)])
+        assert algebra_from_constants("gf3", 2, GF(3), [(1, 1, 2, 1), (1, 2, 1, 2)])
 
 
 class TestSubspaceProduct:

@@ -253,6 +253,19 @@ class TestDeeplyNestedInput:
         assert capsys.readouterr().err == \
             "error: term length 5000 exceeds --max-term-length 10\n"
 
+    def test_long_left_nested_term_normalizes(self, capsys):
+        # 3,000 leaves left-nested 2,999 deep, past the recursion limit: the
+        # term is already a right word, so it normalizes to one word, and
+        # both evaluations fold along the left spine without recursing
+        expr = "*".join(["a"] * 3000)
+        assert main(["normalize", expr, "--max-term-length", "5000",
+                     "--algebra", fx("h3"), "--assign", "a=1,0,0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "input:  length 3000, weight 0"
+        assert out[1] == "normal: +1*[" + ",".join(["a"] * 3000) + "]"
+        assert out[2:] == ["evaluate(tree)   = (0, 0, 0)", "evaluate(normal) = (0, 0, 0)",
+                           "MATCH"]
+
     def test_moderate_nesting_parses(self, capsys):
         assert main(["normalize", "(" * 100 + "a*b" + ")" * 100]) == 0
         assert "normal: +1*[a,b]" in capsys.readouterr().out
